@@ -1,5 +1,6 @@
 #include "crypto/aead.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace interedge::crypto {
@@ -25,14 +26,6 @@ poly_tag tag_with_poly_key(const std::uint8_t poly_key[kPolyKeySize], const_byte
   return mac.finish();
 }
 
-poly_tag compute_tag(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
-                     const_byte_span aad_a, const_byte_span aad_b, const_byte_span ciphertext) {
-  // One-time Poly1305 key = first 32 bytes of ChaCha20 block 0.
-  std::uint8_t block0[64];
-  chacha20_block(key, 0, nonce, block0);
-  return tag_with_poly_key(block0, aad_a, aad_b, ciphertext);
-}
-
 // XORs `data` with the cipher-stream part of a precomputed keystream
 // (blocks 1.., i.e. keystream + 64).
 void xor_with_keystream(byte_span data, const_byte_span keystream) {
@@ -48,6 +41,37 @@ void xor_with_keystream(byte_span data, const_byte_span keystream) {
   for (; i < data.size(); ++i) data[i] ^= ks[i];
 }
 
+// A single packet's block 0 (the Poly1305 key) and its first three cipher
+// blocks come from one chacha20_keystream_blocks call; cipher bytes past
+// kHeadCipherBytes continue with chacha20_xor from counter kHeadBlocks.
+constexpr std::size_t kHeadBlocks = 4;
+constexpr std::size_t kHeadCipherBytes = (kHeadBlocks - 1) * kChaChaBlockSize;
+
+struct head_keystream {
+  std::uint8_t blocks[kHeadBlocks * kChaChaBlockSize];
+
+  head_keystream(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
+                 std::size_t text_len) {
+    static constexpr std::uint32_t kCounters[kHeadBlocks] = {0, 1, 2, 3};
+    std::uint8_t nonces[kHeadBlocks * kAeadNonceSize];
+    for (std::size_t b = 0; b < kHeadBlocks; ++b) {
+      std::memcpy(nonces + b * kAeadNonceSize, nonce, kAeadNonceSize);
+    }
+    chacha20_keystream_blocks(key, kCounters, nonces,
+                              aead_keystream_blocks(std::min(text_len, kHeadCipherBytes)), blocks);
+  }
+
+  const std::uint8_t* poly_key() const { return blocks; }
+
+  // XORs `data` (the whole message) with the cipher stream.
+  void xor_cipher(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
+                  byte_span data) const {
+    const std::size_t head = std::min(data.size(), kHeadCipherBytes);
+    xor_with_keystream(data.first(head), const_byte_span(blocks, sizeof(blocks)));
+    if (data.size() > head) chacha20_xor(key, kHeadBlocks, nonce, data.subspan(head));
+  }
+};
+
 }  // namespace
 
 void aead_seal_into(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
@@ -57,8 +81,9 @@ void aead_seal_into(const std::uint8_t key[kAeadKeySize], const std::uint8_t non
     std::memmove(out.data(), plaintext.data(), plaintext.size());
   }
   byte_span ciphertext = out.first(plaintext.size());
-  chacha20_xor(key, 1, nonce, ciphertext);
-  const poly_tag tag = compute_tag(key, nonce, aad_a, aad_b, ciphertext);
+  const head_keystream ks(key, nonce, ciphertext.size());
+  ks.xor_cipher(key, nonce, ciphertext);
+  const poly_tag tag = tag_with_poly_key(ks.poly_key(), aad_a, aad_b, ciphertext);
   std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
 }
 
@@ -68,10 +93,11 @@ bool aead_open_into(const std::uint8_t key[kAeadKeySize], const std::uint8_t non
   if (sealed.size() < kAeadTagSize) return false;
   const const_byte_span ciphertext = sealed.first(sealed.size() - kAeadTagSize);
   const const_byte_span tag = sealed.last(kAeadTagSize);
-  const poly_tag expected = compute_tag(key, nonce, aad_a, aad_b, ciphertext);
+  const head_keystream ks(key, nonce, ciphertext.size());
+  const poly_tag expected = tag_with_poly_key(ks.poly_key(), aad_a, aad_b, ciphertext);
   if (!ct_equal(const_byte_span(expected.data(), expected.size()), tag)) return false;
   if (!ciphertext.empty()) std::memmove(out.data(), ciphertext.data(), ciphertext.size());
-  chacha20_xor(key, 1, nonce, out.first(ciphertext.size()));
+  ks.xor_cipher(key, nonce, out.first(ciphertext.size()));
   return true;
 }
 

@@ -5,6 +5,11 @@
 // caller-provided scratch (no heap allocation) and take the AAD in two
 // parts so PSP can bind spi||iv plus caller context without concatenating
 // into a temporary. The bytes-returning wrappers keep the convenient API.
+//
+// Single and batched calls share one keystream path: *_into makes block 0
+// (the Poly1305 key) and the first three cipher blocks of its nonce in one
+// chacha20_keystream_blocks call (chacha20_xor continues past 192 bytes),
+// and the batch paths hand *_with_keystream slices of one such call.
 #pragma once
 
 #include <optional>

@@ -1,5 +1,6 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/cpu_features.h"
@@ -26,7 +27,10 @@ void store32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d) {
+// `inline` matters: at -O2 GCC otherwise keeps this out of line and pays a
+// call per quarter round (80 per block).
+inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                          std::uint32_t& d) {
   a += b; d ^= a; d = rotl(d, 16);
   c += d; b ^= c; b = rotl(b, 12);
   a += b; d ^= a; d = rotl(d, 8);
@@ -184,7 +188,7 @@ __attribute__((target("sse2"))) inline void store_keystream_sse2(std::uint8_t* o
 
 // Four independent-stream blocks per call: same key rows, each block's
 // counter/nonce row supplied by the caller. Returns blocks consumed (a
-// multiple of 4); the scalar caller finishes the tail.
+// multiple of 4); chacha20_keystream_blocks pads the remainder to a quad.
 __attribute__((target("sse2"))) std::size_t keystream_sse2(const std::uint32_t key_rows[12],
                                                            const std::uint32_t* counters,
                                                            const std::uint8_t* nonces,
@@ -438,40 +442,57 @@ void chacha20_xor(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
   if (data.empty()) return;
   std::uint32_t s[16];
   init_state(s, key, counter, nonce);
-  std::size_t offset = 0;
 #ifdef INTEREDGE_CHACHA_SIMD
   const simd_level level = active_simd_level();
-  if (level == simd_level::avx2) {
-    offset = xor_avx2_bulk(s, data.data(), data.size());
-  } else if (level == simd_level::sse2) {
-    offset = xor_sse2_bulk(s, data.data(), data.size());
+  if (level != simd_level::scalar) {
+    auto* const bulk = level == simd_level::avx2 ? xor_avx2_bulk : xor_sse2_bulk;
+    const std::size_t offset = bulk(s, data.data(), data.size());
+    const std::size_t rest = data.size() - offset;
+    if (rest > 0) {
+      // A tail shorter than a quad runs the same kernel over a padded copy.
+      std::uint8_t quad[4 * kChaChaBlockSize] = {};
+      std::memcpy(quad, data.data() + offset, rest);
+      bulk(s, quad, sizeof(quad));
+      std::memcpy(data.data() + offset, quad, rest);
+    }
+    return;
   }
 #endif
-  if (offset < data.size()) {
-    xor_scalar_from_state(s, data.data() + offset, data.size() - offset);
-  }
+  xor_scalar_from_state(s, data.data(), data.size());
 }
 
 void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
                                const std::uint32_t* counters, const std::uint8_t* nonces,
                                std::size_t n, std::uint8_t* out) {
-  std::size_t done = 0;
 #ifdef INTEREDGE_CHACHA_SIMD
-  if (n >= 4) {
+  const simd_level level = active_simd_level();
+  if (level != simd_level::scalar && n > 0) {
     // Words 0..11 (constants + key) are shared by every stream.
     std::uint32_t key_rows[16];
     std::uint8_t zero_nonce[kChaChaNonceSize] = {};
     init_state(key_rows, key, 0, zero_nonce);  // only words 0..11 are used
-    const simd_level level = active_simd_level();
-    if (level == simd_level::avx2) {
-      done = keystream_avx2(key_rows, counters, nonces, n, out);
-    } else if (level == simd_level::sse2) {
-      done = keystream_sse2(key_rows, counters, nonces, n, out);
+    auto* const kernel = level == simd_level::avx2 ? keystream_avx2 : keystream_sse2;
+    const std::size_t done = kernel(key_rows, counters, nonces, n, out);
+    const std::size_t rest = n - done;
+    if (rest > 0) {
+      // Pad the remainder to a quad by repeating its last stream.
+      std::uint32_t quad_counters[4];
+      std::uint8_t quad_nonces[4 * kChaChaNonceSize];
+      std::uint8_t quad[4 * kChaChaBlockSize];
+      for (std::size_t b = 0; b < 4; ++b) {
+        const std::size_t from = done + std::min(b, rest - 1);
+        quad_counters[b] = counters[from];
+        std::memcpy(quad_nonces + kChaChaNonceSize * b, nonces + kChaChaNonceSize * from,
+                    kChaChaNonceSize);
+      }
+      kernel(key_rows, quad_counters, quad_nonces, 4, quad);
+      std::memcpy(out + kChaChaBlockSize * done, quad, kChaChaBlockSize * rest);
     }
+    return;
   }
 #endif
-  for (; done < n; ++done) {
-    chacha20_block(key, counters[done], nonces + 12 * done, out + 64 * done);
+  for (std::size_t b = 0; b < n; ++b) {
+    chacha20_block(key, counters[b], nonces + kChaChaNonceSize * b, out + kChaChaBlockSize * b);
   }
 }
 

@@ -1,10 +1,12 @@
 // ChaCha20 stream cipher (RFC 8439): 256-bit key, 96-bit nonce,
 // 32-bit block counter.
 //
-// chacha20_xor is the datapath hot loop: it processes four keystream
-// blocks per iteration and XORs word-wise, with SSE2/AVX2 backends
-// selected at runtime via the cpu_features probe. The scalar core stays
-// exported so tests can prove the vectorized paths bit-identical.
+// Both entry points below run on SIMD kernels (SSE2/AVX2, selected at
+// runtime via the cpu_features probe) that make four blocks per pass; a
+// count or length that is not a whole quad is padded to one, so no block
+// comes from the scalar core while a SIMD level is active. The scalar core
+// is the fallback without SIMD and stays exported so tests can prove the
+// vectorized paths bit-identical.
 #pragma once
 
 #include <array>
@@ -32,10 +34,10 @@ void chacha20_xor_scalar(const std::uint8_t key[kChaChaKeySize], std::uint32_t c
                          const std::uint8_t nonce[kChaChaNonceSize], byte_span data);
 
 // Generates `n` independent 64-byte keystream blocks sharing one key:
-// block i uses counters[i] and the 12-byte nonce at nonces + 12*i. This is
-// the batched-datapath entry point — it feeds the 4-block SIMD kernels
-// with blocks from *different packets* of one pipe, so small-packet AEAD
-// work vectorizes even though each packet needs only a block or two.
+// block i uses counters[i] and the 12-byte nonce at nonces + 12*i. Any n
+// is fine. This is the AEAD's keystream source: a batch feeds the 4-block
+// SIMD kernels with blocks from *different packets* of one pipe, and a
+// single packet's one to four head blocks make one padded pass.
 void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
                                const std::uint32_t* counters, const std::uint8_t* nonces,
                                std::size_t n, std::uint8_t* out);

@@ -85,6 +85,7 @@ void poly1305::blocks(const std::uint8_t* m, std::size_t count, std::uint32_t hi
 }
 
 void poly1305::update(const_byte_span data) {
+  if (data.empty()) return;  // an empty span may carry a null data(), which memcpy rejects
   std::size_t offset = 0;
   if (buffered_ > 0) {
     const std::size_t take = std::min(data.size(), buffer_.size() - buffered_);

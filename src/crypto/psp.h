@@ -81,21 +81,17 @@ class psp_context {
                          std::span<const const_byte_span> aads, std::span<const byte_span> outs,
                          std::span<bool> ok) const;
 
-  // Unauthenticated decrypt of the first `out.size()` plaintext bytes of a
-  // sealed packet — the flow-steering peek. Costs one ChaCha20 block (the
-  // cipher stream starts at block 1; block 0 is the Poly1305 key), so a
-  // steering stage can read a header prefix without paying for the full
-  // authenticated open the owning worker will perform. out.size() must fit
-  // in one cipher block (<= 64). Returns false on short wire or unknown
-  // SPI. A tampered packet yields garbage here — that only mis-steers it;
-  // the authenticated open still rejects it.
-  bool peek_prefix(const_byte_span wire, byte_span out) const;
-
-  // Batch peek: decrypts the first `prefix_len` bytes of each wire into
-  // outs[i*prefix_len ..], generating the burst's first cipher blocks with
-  // the multi-stream kernels in one pass (packets grouped by epoch key,
-  // like open_batch). ok[i] records per-packet success; returns the number
-  // peeked.
+  // Unauthenticated batch decrypt of the first `prefix_len` (<= 64)
+  // plaintext bytes of each wire into outs[i*prefix_len ..] — the
+  // flow-steering peek. It costs one ChaCha20 block per packet (the cipher
+  // stream starts at block 1; block 0 is the Poly1305 key), made for the
+  // whole burst by the multi-stream kernels in one pass (packets grouped
+  // by epoch key, like open_batch), so a steering stage can read a header
+  // prefix without paying for the authenticated open the owning worker
+  // will perform. A tampered packet yields garbage here — that only
+  // mis-steers it; the authenticated open still rejects it. ok[i] records
+  // per-packet success (false on short wire or unknown SPI); returns the
+  // number peeked.
   std::size_t peek_prefix_batch(std::span<const const_byte_span> wires, std::size_t prefix_len,
                                 byte_span outs, std::span<bool> ok) const;
 

@@ -2,20 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/cpu_features.h"
+#include "crypto/simd_levels.h"
 
 namespace interedge::crypto {
 namespace {
-
-// Restores the auto-detected SIMD level after a test forces a backend.
-class simd_level_guard {
- public:
-  simd_level_guard() : saved_(active_simd_level()) {}
-  ~simd_level_guard() { set_simd_level(saved_); }
-
- private:
-  simd_level saved_;
-};
 
 // RFC 8439 §2.3.2 block function test vector.
 TEST(ChaCha20, Rfc8439BlockFunction) {
@@ -193,23 +186,24 @@ TEST(ChaCha20, VectorizedHandlesUnalignedBuffers) {
 
 // The multi-stream batch entry point: N blocks with independent
 // counter/nonce rows (one pair per block, as the PSP batch path supplies
-// them) must equal chacha20_block run N times, on every backend. The
-// count is chosen so the 4-wide kernels run twice plus a scalar tail.
+// them) must equal chacha20_block run N times, on every backend. Counts
+// 1..11 cover every remainder the SIMD kernels pad to a quad (the single
+// AEAD call asks for 1..4 blocks) on zero, one and two whole quads.
 TEST(ChaCha20, KeystreamBlocksMatchesBlockFunctionPerStream) {
   bytes key(kChaChaKeySize);
   for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i * 7 + 9);
 
-  constexpr std::size_t kBlocks = 11;  // 2 SIMD quads + 3 scalar tail blocks
-  std::uint32_t counters[kBlocks];
-  bytes nonces(kBlocks * kChaChaNonceSize);
-  for (std::size_t b = 0; b < kBlocks; ++b) {
+  constexpr std::size_t kMaxBlocks = 11;
+  std::uint32_t counters[kMaxBlocks];
+  bytes nonces(kMaxBlocks * kChaChaNonceSize);
+  for (std::size_t b = 0; b < kMaxBlocks; ++b) {
     counters[b] = static_cast<std::uint32_t>(b % 3);  // distinct streams, repeated counters
     for (std::size_t i = 0; i < kChaChaNonceSize; ++i)
       nonces[b * kChaChaNonceSize + i] = static_cast<std::uint8_t>(b * 41 + i * 3 + 1);
   }
 
-  bytes expected(kBlocks * kChaChaBlockSize);
-  for (std::size_t b = 0; b < kBlocks; ++b) {
+  bytes expected(kMaxBlocks * kChaChaBlockSize);
+  for (std::size_t b = 0; b < kMaxBlocks; ++b) {
     chacha20_block(key.data(), counters[b], nonces.data() + b * kChaChaNonceSize,
                    expected.data() + b * kChaChaBlockSize);
   }
@@ -218,9 +212,15 @@ TEST(ChaCha20, KeystreamBlocksMatchesBlockFunctionPerStream) {
   for (simd_level level : {simd_level::scalar, simd_level::sse2, simd_level::avx2}) {
     set_simd_level(level);
     if (active_simd_level() != level) continue;
-    bytes out(kBlocks * kChaChaBlockSize);
-    chacha20_keystream_blocks(key.data(), counters, nonces.data(), kBlocks, out.data());
-    EXPECT_EQ(out, expected) << "backend=" << simd_level_name(level);
+    for (std::size_t n = 1; n <= kMaxBlocks; ++n) {
+      // One guard block past the end: the padded remainder must not spill.
+      bytes out((n + 1) * kChaChaBlockSize, 0xee);
+      chacha20_keystream_blocks(key.data(), counters, nonces.data(), n, out.data());
+      EXPECT_TRUE(std::equal(out.begin(), out.begin() + n * kChaChaBlockSize, expected.begin()))
+          << "n=" << n << " backend=" << simd_level_name(level);
+      EXPECT_EQ(bytes(out.end() - kChaChaBlockSize, out.end()), bytes(kChaChaBlockSize, 0xee))
+          << "n=" << n << " backend=" << simd_level_name(level);
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/simd_levels.h"
+
 namespace interedge::crypto {
 namespace {
 
@@ -9,6 +11,12 @@ psp_master_key test_master(std::uint8_t fill = 0x44) {
   psp_master_key k;
   k.fill(fill);
   return k;
+}
+
+bytes pattern(std::size_t len, std::uint8_t seed) {
+  bytes b(len);
+  for (std::size_t i = 0; i < len; ++i) b[i] = static_cast<std::uint8_t>(i * 7 + seed);
+  return b;
 }
 
 TEST(Psp, SealOpenRoundTrip) {
@@ -230,6 +238,73 @@ TEST(Psp, OpenBatchRejectsTamperedPacketOnly) {
   EXPECT_FALSE(ok_flags[2]);
   EXPECT_TRUE(ok_flags[3]);
   EXPECT_EQ(opened[3], bytes(24, 3));  // packets after the bad one still open
+}
+
+// The single-packet seal and the batch seal are one keystream path: for
+// the same IV they write the same wire bytes, on every backend and every
+// header length 0..300. Batches of seven mixed lengths give the batch
+// kernel call every block-count remainder.
+TEST(Psp, SealIntoMatchesSealBatchOnEveryBackend) {
+  const bytes aad = to_bytes("aad");
+  for_each_simd_level([&](simd_level level) {
+    psp_context single(test_master(), 6);
+    psp_context batched(test_master(), 6);
+    constexpr std::size_t kBatch = 7;
+    for (std::size_t first = 0; first <= 300; first += kBatch) {
+      std::vector<bytes> plaintexts, wires;
+      for (std::size_t len = first; len < first + kBatch && len <= 300; ++len) {
+        plaintexts.push_back(pattern(len, static_cast<std::uint8_t>(len)));
+        wires.emplace_back(len + kPspOverhead);
+      }
+      std::vector<const_byte_span> pt_spans(plaintexts.begin(), plaintexts.end());
+      std::vector<byte_span> wire_spans(wires.begin(), wires.end());
+      ASSERT_EQ(batched.seal_batch(pt_spans, aad, wire_spans), plaintexts.size());
+      for (std::size_t i = 0; i < plaintexts.size(); ++i) {
+        bytes wire(plaintexts[i].size() + kPspOverhead);
+        single.seal_into(plaintexts[i], aad, wire);
+        EXPECT_EQ(wire, wires[i]) << "len=" << plaintexts[i].size()
+                                  << " backend=" << simd_level_name(level);
+      }
+    }
+  });
+}
+
+// open_into rejects one flipped bit in the iv, ciphertext, tag or AAD with
+// `out` untouched, and an in-place open (out = the ciphertext region)
+// round-trips, on every backend.
+TEST(Psp, OpenIntoRejectsFlippedBitsAndOpensInPlaceOnEveryBackend) {
+  for_each_simd_level([&](simd_level level) {
+    psp_context tx(test_master(), 8);
+    const psp_context rx(test_master(), 8);
+    for (std::size_t len : {0, 37, 64, 100, 193}) {
+      bytes aad = pattern(8, 1);
+      const bytes plain = pattern(len, 2);
+      const bytes wire = tx.seal(plain, aad);
+      const bytes sentinel(len, 0x5a);
+      // Byte 4 on: iv, ciphertext, tag (bytes 0..3 are the SPI, whose
+      // flip is an unknown-SPI reject).
+      for (std::size_t i = 4; i < wire.size(); ++i) {
+        bytes flipped = wire;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+        bytes out = sentinel;
+        EXPECT_FALSE(rx.open_into(flipped, aad, out).has_value()) << "byte " << i;
+        EXPECT_EQ(out, sentinel) << "byte " << i << " len=" << len
+                                 << " backend=" << simd_level_name(level);
+      }
+      for (std::size_t i = 0; i < aad.size(); ++i) {
+        aad[i] ^= 0x10;
+        bytes out = sentinel;
+        EXPECT_FALSE(rx.open_into(wire, aad, out).has_value()) << "aad byte " << i;
+        EXPECT_EQ(out, sentinel) << "aad byte " << i << " len=" << len;
+        aad[i] ^= 0x10;
+      }
+      bytes in_place = wire;
+      const auto n = rx.open_into(in_place, aad, byte_span(in_place).subspan(12, len));
+      ASSERT_TRUE(n.has_value()) << "len=" << len << " backend=" << simd_level_name(level);
+      const auto body = in_place.begin() + 12;
+      EXPECT_EQ(bytes(body, body + static_cast<std::ptrdiff_t>(len)), plain);
+    }
+  });
 }
 
 class PspPayloadSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -68,6 +68,22 @@ run_preset() {
   # cross-thread verdict and metric flows.
   echo "== $preset: scenario suites (focused) =="
   ctest --preset "$preset" -R scenario_test --output-on-failure
+  # Crypto datapath: every AEAD call builds its keystream in stack
+  # buffers (the padded remainder quad, the 4-block head) and opens may
+  # decrypt in place over the ciphertext. asan guards those buffers and
+  # the aliasing, ubsan the lane arithmetic; ilp_test and fuzz_test push
+  # sealed and hostile datagrams through the same calls.
+  echo "== $preset: crypto + ILP (focused) =="
+  ctest --preset "$preset" -R 'crypto_test|ilp_test|fuzz_test' --output-on-failure
+  # DdosShed races worker shards against the slow-path budget: its checks
+  # must hold however the threads interleave, so it runs 20 times free
+  # and 20 times with every thread on one CPU.
+  echo "== $preset: DdosShed x20 alone, x20 on one CPU =="
+  services_test="build-$preset/tests/services_test"
+  for i in $(seq 20); do
+    "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
+    taskset -c 0 "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
+  done
 }
 
 case "${1:-all}" in
