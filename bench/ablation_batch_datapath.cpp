@@ -12,13 +12,12 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/buf_pool.h"
 #include "common/clock.h"
 #include "common/flight_recorder.h"
@@ -35,27 +34,8 @@
 using namespace interedge;
 using namespace interedge::core;
 
-// TU-wide heap instrumentation (ISSUE 6): replacing global operator new in
-// this binary lets the zero-copy arms audit — not estimate — steady-state
-// allocation counts across the whole ingress chain. Counting is gated so
-// setup/teardown churn stays out of the audit.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<bool> g_count_allocs{false};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+using interedge::bench::g_count_allocs;
+using interedge::bench::g_heap_allocs;
 
 namespace {
 
@@ -470,8 +450,8 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
 // Zero-copy: datagrams live in pool slabs, headers decrypt in place over
 // their own ciphertext, and the terminus consumes views — no payload copy
 // anywhere. Each arm also audits its steady-state heap allocations with
-// the TU's instrumented operator new; the zero-copy arm fails the bench
-// if the audit finds any.
+// the binary's instrumented operator new (alloc_counter.h); the zero-copy
+// arm fails the bench if the audit finds any.
 
 // Allocation audit: run `rounds` untimed repetitions of `fn` with heap
 // counting on; returns allocations per round.
@@ -576,24 +556,15 @@ void BM_IngressDatapathZeroCopy(benchmark::State& state) {
   }
 }
 
-// ---- ISSUE 8: egress arm — batched uring tx, zero allocs per packet ---
-//
-// The transmit mirror of BM_IngressDatapathZeroCopy: B (head, payload)
-// gather sends staged as SENDMSG SQEs, one io_uring_enter per flush, the
-// mmsg receiver draining into pool slabs to close the loop. Every staging
-// resource is preallocated at ring construction — slot head arrays, the
-// bounded copy_buf the unpinned payload rides, iovecs, msghdrs — so the
-// TU's instrumented operator new must count ZERO steady-state heap
-// allocations; the arm fails the bench if the audit finds any.
-void BM_EgressDatapathUring(benchmark::State& state) {
-  net::udp_config cfg;
-  cfg.backend = net::udp_backend::uring;
-  net::udp_endpoint tx(cfg);
-  if (tx.backend() != net::udp_backend::uring) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
-  net::udp_endpoint rx;
+// Egress arm: B (head, payload) gather sends — the SN's forward shape, a
+// sealed header plus a payload view, each one two-iovec sendmsg — then
+// the flush boundary, with the receiver draining into pool slabs to close
+// the loop. The send path touches only preallocated state (peer table,
+// stack iovecs), so the instrumented operator new must count ZERO
+// steady-state heap allocations; the arm fails the bench if the audit
+// finds any.
+void BM_EgressDatapath(benchmark::State& state) {
+  net::udp_endpoint tx, rx;
   tx.add_peer(2, "127.0.0.1", rx.port());
   rx.add_peer(1, "127.0.0.1", tx.port());
 
@@ -611,10 +582,9 @@ void BM_EgressDatapathUring(benchmark::State& state) {
       received.clear();  // slab refs drop; the pool recycles them
       got += rx.recv_batch_views(net::udp_endpoint::kBatchMax, received);
     }
-    tx.tx_drain();  // retire every completion before the next round
   };
 
-  round();  // warm-up: slot free list, rx slab cache and vectors settle
+  round();  // warm-up: rx slab cache and vectors settle
   for (auto _ : state) round();
   const double allocs_per_round = audit_allocs(64, round);
 
@@ -623,19 +593,20 @@ void BM_EgressDatapathUring(benchmark::State& state) {
       static_cast<double>(state.iterations() * batch), benchmark::Counter::kIsRate);
   state.counters["heap_allocs_per_pkt"] = allocs_per_round / static_cast<double>(batch);
   if (allocs_per_round != 0.0) {
-    state.SkipWithError("steady-state heap allocations on the uring egress path");
+    state.SkipWithError("steady-state heap allocations on the egress path");
   }
 }
 
 // UDP syscall batching in isolation: B datagrams over loopback, one
-// sendto+recvfrom pair per packet versus one sendmmsg+recvmmsg per burst.
+// sendto+recvmmsg pair per packet versus one sendmmsg+recvmmsg per burst.
 void udp_loopback(benchmark::State& state, bool batched) {
   net::udp_endpoint a, b;
   a.add_peer(2, "127.0.0.1", b.port());
   b.add_peer(1, "127.0.0.1", a.port());
   const std::size_t count = static_cast<std::size_t>(state.range(0));
   const std::vector<bytes> datagrams(count, bytes(256, 0x42));
-  std::vector<std::pair<net::peer_id, bytes>> received;
+  const std::size_t per_recv = batched ? net::udp_endpoint::kBatchMax : 1;
+  std::vector<std::pair<net::peer_id, buf::pkt_view>> received;
   std::uint64_t moved = 0;
 
   for (auto _ : state) {
@@ -649,12 +620,8 @@ void udp_loopback(benchmark::State& state, bool batched) {
     }
     std::size_t got = 0;
     for (int spins = 0; got < sent && spins < 10000; ++spins) {
-      if (batched) {
-        received.clear();
-        got += b.recv_batch(net::udp_endpoint::kBatchMax, received);
-      } else {
-        if (b.poll()) ++got;
-      }
+      received.clear();
+      got += b.recv_batch_views(per_recv, received);
     }
     moved += got;
   }
@@ -675,7 +642,7 @@ BENCHMARK(BM_IngressDatapath_Profiled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracing)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracingSampled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_HealthPlane)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_EgressDatapathUring)->Arg(8)->Arg(32);
+BENCHMARK(BM_EgressDatapath)->Arg(8)->Arg(32);
 BENCHMARK(BM_UdpLoopback_PerPacket)->Arg(32);
 BENCHMARK(BM_UdpLoopback_Batched)->Arg(32);
 

@@ -2,19 +2,12 @@
 // to send and receive data from services which obviously adds overhead",
 // naming shared-memory rings as the known fix. This measures the
 // per-packet service round trip over each transport.
-//
-// Also (ISSUE 6) the datagram-transport backend sweep: recvmmsg vs
-// io_uring receive at batch 1/8/32 over loopback, both draining into pool
-// slabs through recv_batch_views.
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/channel.h"
-#include "net/udp_transport.h"
 
 using namespace interedge;
 using namespace interedge::core;
@@ -130,99 +123,6 @@ void pipelined(benchmark::State& state) {
 void BM_Transport_Ring_Pipelined(benchmark::State& state) { pipelined<ring_channel>(state); }
 void BM_Transport_Ipc_Pipelined(benchmark::State& state) { pipelined<ipc_channel>(state); }
 
-// ---- ISSUE 6: receive-backend sweep (recvmmsg vs io_uring) -----------
-//
-// One sender bursting `batch` 256-byte datagrams over loopback; the
-// receiver drains through recv_batch_views into pool slabs — the identical
-// zero-copy surface for both backends, so the delta is purely the syscall
-// and completion model (recvmmsg per burst vs re-armed ring completions).
-void udp_backend_sweep(benchmark::State& state, net::udp_backend backend) {
-  net::udp_config cfg;
-  cfg.backend = backend;
-  net::udp_endpoint rx(cfg);
-  if (backend == net::udp_backend::uring && rx.backend() != net::udp_backend::uring) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
-  net::udp_endpoint tx;
-  tx.add_peer(2, "127.0.0.1", rx.port());
-  rx.add_peer(1, "127.0.0.1", tx.port());
-
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> datagrams(batch, bytes(256, 0x42));
-  std::vector<std::pair<net::peer_id, buf::pkt_view>> received;
-  std::uint64_t moved = 0;
-
-  for (auto _ : state) {
-    const std::size_t sent = tx.send_batch(2, datagrams);
-    std::size_t got = 0;
-    for (int spins = 0; got < sent && spins < 100000; ++spins) {
-      received.clear();  // drops the slab refs; the pool recycles them
-      got += rx.recv_batch_views(net::udp_endpoint::kBatchMax, received);
-    }
-    moved += got;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(moved), benchmark::Counter::kIsRate);
-}
-
-void BM_UdpBackend_Mmsg(benchmark::State& state) {
-  udp_backend_sweep(state, net::udp_backend::mmsg);
-}
-void BM_UdpBackend_Uring(benchmark::State& state) {
-  udp_backend_sweep(state, net::udp_backend::uring);
-}
-
-// ---- ISSUE 8: egress-backend sweep (sendmsg vs io_uring tx) ----------
-//
-// The mirror of the receive sweep: now the *transmit* endpoint's backend
-// varies and the receiver is always the mmsg drain. On the uring arm
-// send_batch stages one SENDMSG SQE per datagram and a single
-// io_uring_enter submits the burst; on mmsg each datagram is a synchronous
-// sendmsg. The receive drain stays inside the timed region on both arms so
-// the comparison is a full loopback round trip at equal reliability.
-void udp_tx_backend_sweep(benchmark::State& state, net::udp_backend backend) {
-  net::udp_config cfg;
-  cfg.backend = backend;
-  net::udp_endpoint tx(cfg);
-  if (backend == net::udp_backend::uring && tx.backend() != net::udp_backend::uring) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
-  net::udp_endpoint rx;  // plain mmsg receiver on both arms
-  tx.add_peer(2, "127.0.0.1", rx.port());
-  rx.add_peer(1, "127.0.0.1", tx.port());
-
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> datagrams(batch, bytes(256, 0x42));
-  std::vector<std::pair<net::peer_id, buf::pkt_view>> received;
-  std::uint64_t moved = 0;
-
-  for (auto _ : state) {
-    // send_batch flushes its staged SQEs before returning, so the burst is
-    // on the wire when the drain below starts.
-    const std::size_t sent = tx.send_batch(2, datagrams);
-    std::size_t got = 0;
-    for (int spins = 0; got < sent && spins < 100000; ++spins) {
-      received.clear();
-      got += rx.recv_batch_views(net::udp_endpoint::kBatchMax, received);
-    }
-    moved += got;
-  }
-  tx.tx_drain();  // retire any straggling completions before teardown
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(moved), benchmark::Counter::kIsRate);
-}
-
-void BM_UdpTx_Mmsg(benchmark::State& state) {
-  udp_tx_backend_sweep(state, net::udp_backend::mmsg);
-}
-void BM_UdpTx_Uring(benchmark::State& state) {
-  udp_tx_backend_sweep(state, net::udp_backend::uring);
-}
-
 }  // namespace
 
 BENCHMARK(BM_Transport_Inline)->Arg(64)->Arg(1000);
@@ -230,9 +130,5 @@ BENCHMARK(BM_Transport_Ring)->Arg(64)->Arg(1000);
 BENCHMARK(BM_Transport_Ipc)->Arg(64)->Arg(1000);
 BENCHMARK(BM_Transport_Ring_Pipelined)->Arg(1000);
 BENCHMARK(BM_Transport_Ipc_Pipelined)->Arg(1000);
-BENCHMARK(BM_UdpBackend_Mmsg)->Arg(1)->Arg(8)->Arg(32);
-BENCHMARK(BM_UdpBackend_Uring)->Arg(1)->Arg(8)->Arg(32);
-BENCHMARK(BM_UdpTx_Mmsg)->Arg(1)->Arg(8)->Arg(32);
-BENCHMARK(BM_UdpTx_Uring)->Arg(1)->Arg(8)->Arg(32);
 
 BENCHMARK_MAIN();

@@ -3,8 +3,8 @@
 // two hosts, one service node, ILP pipes with PSP-sealed headers on the
 // actual wire.
 //
-//   ./examples/udp_live [--messages=5] [--backend=auto|mmsg|uring]
-//                       [--pin=-1] [--dump-blackbox] [--profile=0]
+//   ./examples/udp_live [--messages=5] [--pin=-1] [--dump-blackbox]
+//                       [--profile=0]
 //
 // --profile=N arms the continuous profiling plane (ISSUE 10) on the SN
 // (997Hz on-CPU sampling of the event-loop thread), drives traffic for N
@@ -15,12 +15,9 @@
 // The SN's socket drains through the zero-copy slab path
 // (recv_batch_views -> on_datagram_views): datagrams land in pool slabs,
 // ILP headers are decrypted in place, and the terminus consumes views —
-// no per-packet payload copy. --backend selects the transport backend for
-// BOTH directions (ISSUE 8): with uring, receives are completion-driven
-// and forwarded packets go out as batched SENDMSG gather SQEs straight
-// from the slab they arrived in (zero-copy egress); mmsg keeps the
-// synchronous sendmsg/recvmmsg pair. --pin=N pins the event-loop thread
-// to CPU N and steers the ring's SQPOLL thread there (e.g. --pin=0).
+// no per-packet payload copy. Forwarded packets leave as a two-iovec
+// sendmsg straight from the slab they arrived in. --pin=N pins the
+// event-loop thread to CPU N (e.g. --pin=0).
 //
 // The SLO health plane (ISSUE 7) runs on the SN for the duration of the
 // demo: sliding-window rollups over the merged registry, a burn-rate SLO
@@ -57,22 +54,9 @@ int main(int argc, char** argv) {
 
   std::printf("== InterEdge over real UDP sockets ==\n\n");
 
-  net::udp_config sn_sock_cfg;
-  const std::string backend_flag = flags.get("backend", "auto");
-  if (backend_flag == "mmsg") {
-    sn_sock_cfg.backend = net::udp_backend::mmsg;
-  } else if (backend_flag == "uring") {
-    sn_sock_cfg.backend = net::udp_backend::uring;
-  }  // "auto" keeps auto_detect
   const int pin_cpu = static_cast<int>(flags.get_int("pin", -1));
-  if (pin_cpu >= 0) {
-    sys::pin_thread_to_cpu(pin_cpu);
-    sn_sock_cfg.sq_aff_cpu = pin_cpu;
-  }
-  net::udp_endpoint ep_alice, ep_bob;
-  net::udp_endpoint ep_sn(sn_sock_cfg);
-  std::printf("SN transport backend: %s (rx + tx)\n",
-              ep_sn.backend() == net::udp_backend::uring ? "io_uring" : "recvmmsg/sendmsg");
+  if (pin_cpu >= 0) sys::pin_thread_to_cpu(pin_cpu);
+  net::udp_endpoint ep_alice, ep_bob, ep_sn;
   net::event_loop loop;
   const net::peer_id id_alice = ep_alice.port();
   const net::peer_id id_sn = ep_sn.port();
@@ -99,8 +83,8 @@ int main(int argc, char** argv) {
                       .trace_sample_shift = 0,
                       .profiler_hz = profile_secs > 0 ? 997u : 0u},
       clk, [&](net::peer_id to, bytes d) { ep_sn.send(to, d); }, loop.scheduler(), &route);
-  // Socket/ring counters (net.udp.*, net.uring.* incl. the tx mirror) land
-  // in the SN registry and show up in the Prometheus dump below.
+  // Socket counters (net.udp.*) land in the SN registry and show up in the
+  // Prometheus dump below.
   ep_sn.enable_telemetry(sn.metrics());
   sn.env().deploy(std::make_unique<services::delivery_service>());
 
@@ -130,10 +114,8 @@ int main(int argc, char** argv) {
     sn.on_datagram_views(ds);
   });
   // Zero-copy egress: forwarded packets seal their header into the pipe
-  // manager's scratch and go out as a (head, payload) gather pair. On the
-  // uring backend that stages a SENDMSG SQE pointing into the rx slab —
-  // the payload is never copied, and the slab recycles when the completion
-  // retires; on mmsg it is a synchronous two-iovec sendmsg.
+  // manager's scratch and go out as a (head, payload) gather pair — one
+  // two-iovec sendmsg whose payload iovec points into the rx slab.
   sn.pipes().set_send_gather(
       [&](net::peer_id to, const_byte_span head, const_byte_span payload) {
         ep_sn.send_gather(to, head, payload);

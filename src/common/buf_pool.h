@@ -171,22 +171,14 @@ class buf_pool {
   // the pool is dry. Hot paths go through a `cache` instead.
   slab_ref try_alloc();
 
-  // Recovers a NEW reference to the slab containing `p` (refcount
-  // increment), or a null ref when `p` lies outside the arena. The async
-  // egress path uses this to pin a payload it only holds a span over —
-  // the caller must already hold (transitively) a live reference to that
-  // slab, exactly as slab_ref::clone() requires; pinning a recycled slab
-  // through a stale pointer is the same lifetime bug as cloning one.
-  slab_ref ref_for_ptr(const std::uint8_t* p);
-
   std::size_t slab_size() const { return slab_size_; }
   std::size_t slab_count() const { return slab_count_; }
   std::uint8_t* arena_base() const { return arena_; }
 
   pool_stats stats() const;
 
-  // Per-owner free-list cache. Not thread-safe; each owner (endpoint rx
-  // loop, uring backend) holds its own. Destroying the cache spills its
+  // Per-owner free-list cache. Not thread-safe; each owner (e.g. an
+  // endpoint's rx loop) holds its own. Destroying the cache spills its
   // slabs back to the pool.
   class cache {
    public:

@@ -65,8 +65,7 @@ class pipe_terminus {
   // `forward` sends a packet to an adjacent element over the node's pipes.
   // The payload span is readable only for the duration of the call — on the
   // zero-copy path it aliases an ingress slab; implementations that defer
-  // the send (egress rings, the uring tx path's completion-pinned slabs)
-  // must copy or take a slab reference before returning.
+  // the send (the shard egress rings) must copy before returning.
   using forward_fn =
       std::function<void(peer_id to, const ilp::ilp_header&, const_byte_span payload)>;
 

@@ -725,36 +725,10 @@ void service_node::on_datagram(peer_id from, const_byte_span datagram) {
   pipes_.on_datagram(from, datagram);
 }
 
-void service_node::on_datagram_batch(peer_id from,
-                                     std::span<const const_byte_span> datagrams) {
-  prof::scoped_cycle_set cy(&control_cycles_);
-  if (!shards_.empty()) {
-    copy_scratch_.clear();
-    copy_scratch_.reserve(datagrams.size());
-    for (const const_byte_span& d : datagrams) {
-      copy_scratch_.emplace_back(from, bytes(d.begin(), d.end()));
-    }
-    steer(copy_scratch_);
-    return;
-  }
-  trace::scoped_tracer st(&tracer_);
-  pipes_.on_datagram_batch(from, datagrams);
-}
-
 void service_node::on_datagrams(std::span<std::pair<peer_id, bytes>> datagrams) {
   prof::scoped_cycle_set cy(&control_cycles_);
   if (!shards_.empty()) {
     steer(datagrams);
-    return;
-  }
-  on_datagrams(std::span<const std::pair<peer_id, bytes>>(datagrams.data(), datagrams.size()));
-}
-
-void service_node::on_datagrams(std::span<const std::pair<peer_id, bytes>> datagrams) {
-  prof::scoped_cycle_set cy(&control_cycles_);
-  if (!shards_.empty()) {
-    copy_scratch_.assign(datagrams.begin(), datagrams.end());
-    steer(copy_scratch_);
     return;
   }
   trace::scoped_tracer st(&tracer_);

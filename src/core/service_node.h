@@ -102,8 +102,7 @@ struct sn_config {
   // scheduler in charge.
   std::vector<int> worker_cpus{};
   // Pin the control thread (the caller of start_workers / the event loop)
-  // to this CPU; -1 leaves it unpinned. Also the natural home for the
-  // uring SQPOLL thread (udp_config::sq_aff_cpu).
+  // to this CPU; -1 leaves it unpinned.
   int control_cpu = -1;
   // NUMA-aware placement: derive worker CPUs per node (when worker_cpus is
   // empty) and mbind each shard's ingress/egress ring storage onto the
@@ -167,19 +166,11 @@ class service_node final : public node_services {
   // Wire this to the underlying network (simulator node handler / socket).
   void on_datagram(peer_id from, const_byte_span datagram);
 
-  // Batched ingress from one peer: pipe decryption, terminus dispatch and
-  // the slow-path drain all run once per batch instead of once per packet.
-  void on_datagram_batch(peer_id from, std::span<const const_byte_span> datagrams);
-
-  // Batched ingress from mixed sources (what a udp recv_batch or an event
-  // loop hands over): consecutive runs from the same peer are fed through
-  // the batched path together, preserving arrival order.
-  void on_datagrams(std::span<const std::pair<peer_id, bytes>> datagrams);
-
-  // Mutable-buffer variant: in parallel mode the datagram bytes are moved
-  // into the shard rings instead of copied (the event loop's batch handler
-  // hands over exactly this shape). Identical to the const overload when
-  // workers == 0.
+  // Batched ingress from mixed sources: consecutive runs from the same peer
+  // are fed through the batched path together (pipe decryption, terminus
+  // dispatch and the slow-path drain run once per run instead of once per
+  // packet), preserving arrival order. In parallel mode the datagram bytes
+  // are moved into the shard rings instead of copied.
   void on_datagrams(std::span<std::pair<peer_id, bytes>> datagrams);
 
   // Zero-copy ingress (ISSUE 6): datagrams arrive as refcounted slab views

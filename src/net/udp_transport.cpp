@@ -20,11 +20,11 @@ std::uint64_t pack_source(const sockaddr_in& addr) {
 
 }  // namespace
 
-void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
+udp_endpoint::udp_endpoint(const udp_config& cfg) : pool_cfg_(cfg.pool) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("udp socket failed");
 
-  if (reuse_port) {
+  if (cfg.reuse_port) {
     const int one = 1;
     if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
       ::close(fd_);
@@ -35,7 +35,7 @@ void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  addr.sin_port = htons(cfg.port);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd_);
     throw std::runtime_error(std::string("udp bind failed: ") + std::strerror(errno));
@@ -48,81 +48,8 @@ void udp_endpoint::open_socket(std::uint16_t port, bool reuse_port) {
   ::fcntl(fd_, F_SETFL, fl | O_NONBLOCK);
 }
 
-udp_endpoint::udp_endpoint(std::uint16_t port, bool reuse_port) {
-  cfg_.port = port;
-  cfg_.reuse_port = reuse_port;
-  cfg_.backend = udp_backend::mmsg;
-  backend_ = udp_backend::mmsg;
-  open_socket(port, reuse_port);
-}
-
-udp_endpoint::udp_endpoint(const udp_config& cfg) : cfg_(cfg) {
-  open_socket(cfg.port, cfg.reuse_port);
-  backend_ = cfg.backend;
-  if (backend_ == udp_backend::auto_detect) {
-    backend_ = io_uring_runtime_available() ? udp_backend::uring : udp_backend::mmsg;
-  }
-#if INTEREDGE_HAS_IO_URING
-  if (backend_ == udp_backend::uring) {
-    if (!io_uring_runtime_available()) {
-      backend_ = udp_backend::mmsg;  // explicit request, kernel says no
-    } else {
-      ensure_pool();
-      uring_rx::config rcfg;
-      rcfg.slots = cfg.uring_slots;
-      rcfg.sqpoll = cfg.sqpoll;
-      rcfg.sq_aff_cpu = cfg.sq_aff_cpu;
-      try {
-        uring_ = std::make_unique<uring_rx>(fd_, *pool_, rcfg);
-      } catch (const std::runtime_error&) {
-        // Probe said yes but setup failed (resource limits, policy): the
-        // whole point of runtime selection is that this degrades, not dies.
-        backend_ = udp_backend::mmsg;
-      }
-    }
-  }
-  if (backend_ == udp_backend::uring && cfg.uring_tx) {
-    uring_tx::config tcfg;
-    tcfg.slots = cfg.uring_tx_slots;
-    tcfg.zerocopy = cfg.uring_zerocopy;
-    tcfg.zc_threshold = cfg.uring_zc_threshold;
-    // The tx ring stays non-SQPOLL: flush_tx() is the batching boundary,
-    // and a second kernel poll thread per endpoint would cost more than
-    // the enter it saves.
-    tcfg.sq_aff_cpu = cfg.sq_aff_cpu;
-    try {
-      uring_tx_ = std::make_unique<uring_tx>(fd_, tcfg);
-    } catch (const std::runtime_error&) {
-      // Keep the synchronous send path; rx stays on the ring.
-    }
-  }
-#else
-  if (backend_ == udp_backend::uring) backend_ = udp_backend::mmsg;
-#endif
-}
-
 udp_endpoint::~udp_endpoint() {
-#if INTEREDGE_HAS_IO_URING
-  uring_tx_.reset();  // drains in-flight sends, releasing their slab pins
-  uring_.reset();     // cancel in-flight SQEs before the pool dies
-#endif
-  rx_slabs_.clear();
-  view_scratch_.clear();
-  cache_.reset();
   if (fd_ >= 0) ::close(fd_);
-}
-
-int udp_endpoint::wait_fd() const {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) return uring_->ring_fd();
-#endif
-  return fd_;
-}
-
-void udp_endpoint::ensure_pool() {
-  if (pool_) return;
-  pool_ = std::make_unique<buf::buf_pool>(cfg_.pool);
-  cache_.emplace(*pool_);
 }
 
 void udp_endpoint::add_peer(peer_id peer, const std::string& ip, std::uint16_t port) {
@@ -134,7 +61,9 @@ void udp_endpoint::add_peer(peer_id peer, const std::string& ip, std::uint16_t p
   by_source_.insert(pack_source(addr), peer);
 }
 
-bool udp_endpoint::send_to_addr(const sockaddr_in* addr, const_byte_span datagram) {
+bool udp_endpoint::send(peer_id to, const_byte_span datagram) {
+  const sockaddr_in* addr = peers_.find(to);
+  if (addr == nullptr) return false;
   for (std::size_t attempt = 0;; ++attempt) {
     const ssize_t n = ::sendto(fd_, datagram.data(), datagram.size(), 0,
                                reinterpret_cast<const sockaddr*>(addr), sizeof(*addr));
@@ -149,31 +78,9 @@ bool udp_endpoint::send_to_addr(const sockaddr_in* addr, const_byte_span datagra
   }
 }
 
-bool udp_endpoint::send(peer_id to, const_byte_span datagram) {
-  const sockaddr_in* addr = peers_.find(to);
-  if (addr == nullptr) return false;
-  return send_to_addr(addr, datagram);
-}
-
 bool udp_endpoint::send_gather(peer_id to, const_byte_span head, const_byte_span payload) {
   const sockaddr_in* addr = peers_.find(to);
   if (addr == nullptr) return false;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    // Pin the payload's slab when it aliases the rx pool (the forward path:
-    // the packet goes back out of the slab it arrived in, released when the
-    // completion retires). Payloads from elsewhere (decrypt arena, owned
-    // bytes) are copied into the slot instead.
-    buf::slab_ref pin;
-    if (pool_ && !payload.empty()) pin = pool_->ref_for_ptr(payload.data());
-    if (uring_tx_->stage(*addr, head, payload, std::move(pin))) {
-      ++sent_;
-      if (uring_tx_->staged() >= kBatchMax) flush_tx();
-      return true;
-    }
-    // Ring saturated or message oversized: synchronous fallback below.
-  }
-#endif
   iovec iovs[2] = {
       {const_cast<std::uint8_t*>(head.data()), head.size()},
       {const_cast<std::uint8_t*>(payload.data()), payload.size()},
@@ -196,49 +103,16 @@ bool udp_endpoint::send_gather(peer_id to, const_byte_span head, const_byte_span
   }
 }
 
-std::optional<std::pair<peer_id, bytes>> udp_endpoint::poll() {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) {
-    // The kernel drains the socket into the ring; serve from completions.
-    // poll() historically doesn't touch the rx batch counters, so reap
-    // directly rather than through recv_batch_views.
-    reap_scratch_.clear();
-    while (uring_->reap(1, reap_scratch_) > 0) {
-      uring_completion& c = reap_scratch_.back();
-      if (c.truncated) ++rx_truncated_;
-      const peer_id* peer = by_source_.find(pack_source(c.source));
-      if (peer == nullptr) {
-        ++dropped_unknown_;
-        reap_scratch_.clear();
-        continue;
-      }
-      ++received_;
-      const const_byte_span data = c.view.span();
-      return std::make_pair(*peer, bytes(data.begin(), data.end()));
-    }
-    return std::nullopt;
-  }
-#endif
-  std::uint8_t buffer[65536];
-  sockaddr_in source{};
-  socklen_t len = sizeof(source);
-  const ssize_t n = ::recvfrom(fd_, buffer, sizeof(buffer), 0,
-                               reinterpret_cast<sockaddr*>(&source), &len);
-  if (n < 0) return std::nullopt;  // EAGAIN / transient
-  const peer_id* peer = by_source_.find(pack_source(source));
-  if (peer == nullptr) {
-    ++dropped_unknown_;
-    return std::nullopt;
-  }
-  ++received_;
-  return std::make_pair(*peer, bytes(buffer, buffer + n));
-}
-
-std::size_t udp_endpoint::recv_batch_views_mmsg(
+std::size_t udp_endpoint::recv_batch_views(
     std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
+  max = std::min(max, kBatchMax);
+  if (max == 0) return 0;
+  if (!pool_) {  // first receive: endpoints that only send never pay for a pool
+    pool_ = std::make_unique<buf::buf_pool>(pool_cfg_);
+    cache_.emplace(*pool_);
+  }
   std::size_t appended = 0;
 #ifdef __linux__
-  ensure_pool();
   // Keep up to `max` slabs armed; unused ones stay for the next call.
   while (rx_slabs_.size() < max) {
     auto ref = cache_->try_alloc();
@@ -271,6 +145,7 @@ std::size_t udp_endpoint::recv_batch_views_mmsg(
     } else {
       ++rx_errors_;
     }
+    sync_telemetry();
     return 0;
   }
   // A short batch means the socket ran dry mid-drain (the EAGAIN happened
@@ -294,15 +169,25 @@ std::size_t udp_endpoint::recv_batch_views_mmsg(
   }
   rx_slabs_.erase(rx_slabs_.begin(), rx_slabs_.begin() + n);
 #else
+  // No recvmmsg: one recvfrom per datagram, still straight into a slab.
   for (std::size_t i = 0; i < max; ++i) {
-    auto datagram = poll();
-    if (!datagram) break;
-    ensure_pool();
     auto ref = cache_->try_alloc();
-    if (!ref) break;
-    const std::size_t len = std::min(datagram->second.size(), ref.size());
-    std::memcpy(ref.data(), datagram->second.data(), len);
-    out.emplace_back(datagram->first, buf::pkt_view(std::move(ref), 0, len));
+    if (!ref) break;  // pool dry (exhaustion is counted)
+    sockaddr_in source{};
+    socklen_t len = sizeof(source);
+    const ssize_t n = ::recvfrom(fd_, ref.data(), ref.size(), 0,
+                                 reinterpret_cast<sockaddr*>(&source), &len);
+    if (n < 0) {
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) ++rx_errors_;
+      break;
+    }
+    const peer_id* peer = by_source_.find(pack_source(source));
+    if (peer == nullptr) {
+      ++dropped_unknown_;
+      continue;
+    }
+    ++received_;
+    out.emplace_back(*peer, buf::pkt_view(std::move(ref), 0, static_cast<std::size_t>(n)));
     ++appended;
   }
   if (appended == 0) {
@@ -311,37 +196,9 @@ std::size_t udp_endpoint::recv_batch_views_mmsg(
     ++rx_partial_batches_;
   }
 #endif
+  sync_telemetry();
   return appended;
 }
-
-#if INTEREDGE_HAS_IO_URING
-std::size_t udp_endpoint::recv_batch_views_uring(
-    std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
-  reap_scratch_.clear();
-  const std::size_t n = uring_->reap(max, reap_scratch_);
-  if (n == 0) {
-    uring_->replenish();  // re-arm any slots parked on pool exhaustion
-    ++rx_empty_;
-    return 0;
-  }
-  if (n < max) ++rx_partial_batches_;
-  std::size_t appended = 0;
-  for (uring_completion& c : reap_scratch_) {
-    if (c.truncated) ++rx_truncated_;
-    const peer_id* peer = by_source_.find(pack_source(c.source));
-    if (peer == nullptr) {
-      ++dropped_unknown_;
-      continue;
-    }
-    ++received_;
-    out.emplace_back(*peer, std::move(c.view));
-    ++appended;
-  }
-  reap_scratch_.clear();
-  uring_->replenish();
-  return appended;
-}
-#endif
 
 void udp_endpoint::sync_telemetry() {
   if (m_rx_truncated_ == nullptr) return;  // telemetry not enabled
@@ -357,137 +214,12 @@ void udp_endpoint::sync_telemetry() {
     m_dropped_unknown_->add(dropped_unknown_ - last_dropped_unknown_);
     last_dropped_unknown_ = dropped_unknown_;
   }
-#if INTEREDGE_HAS_IO_URING
-  if (uring_ && m_uring_completions_ != nullptr) {
-    if (const auto v = uring_->completions(); v != last_uring_completions_) {
-      m_uring_completions_->add(v - last_uring_completions_);
-      last_uring_completions_ = v;
-    }
-    if (const auto v = uring_->truncated(); v != last_uring_truncated_) {
-      m_uring_truncated_->add(v - last_uring_truncated_);
-      last_uring_truncated_ = v;
-    }
-    if (const auto v = uring_->parked(); v != last_uring_parked_) {
-      m_uring_parked_->add(v - last_uring_parked_);
-      last_uring_parked_ = v;
-    }
-    if (const auto v = uring_->rearm_failed(); v != last_uring_rearm_failed_) {
-      m_uring_rearm_failed_->add(v - last_uring_rearm_failed_);
-      last_uring_rearm_failed_ = v;
-    }
-  }
-  if (uring_tx_ && m_tx_completions_ != nullptr) {
-    if (const auto v = uring_tx_->completions(); v != last_tx_completions_) {
-      m_tx_completions_->add(v - last_tx_completions_);
-      last_tx_completions_ = v;
-    }
-    if (const auto v = uring_tx_->short_sends(); v != last_tx_short_sends_) {
-      m_tx_short_sends_->add(v - last_tx_short_sends_);
-      last_tx_short_sends_ = v;
-    }
-    if (const auto v = uring_tx_->zc_used(); v != last_tx_zc_used_) {
-      m_tx_zc_used_->add(v - last_tx_zc_used_);
-      last_tx_zc_used_ = v;
-    }
-    if (const auto v = uring_tx_->zc_fallback(); v != last_tx_zc_fallback_) {
-      m_tx_zc_fallback_->add(v - last_tx_zc_fallback_);
-      last_tx_zc_fallback_ = v;
-    }
-    if (const auto v = uring_tx_->submit_batches(); v != last_tx_submit_batches_) {
-      m_tx_submit_batches_->add(v - last_tx_submit_batches_);
-      last_tx_submit_batches_ = v;
-    }
-    // High-water mark, not a rate: mirror as a gauge set.
-    m_tx_inflight_peak_->set(static_cast<std::int64_t>(uring_tx_->inflight_peak()));
-  }
-#endif
-}
-
-std::size_t udp_endpoint::recv_batch_views(
-    std::size_t max, std::vector<std::pair<peer_id, buf::pkt_view>>& out) {
-  max = std::min(max, kBatchMax);
-  if (max == 0) return 0;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_) {
-    const std::size_t n = recv_batch_views_uring(max, out);
-    sync_telemetry();
-    return n;
-  }
-#endif
-  const std::size_t n = recv_batch_views_mmsg(max, out);
-  sync_telemetry();
-  return n;
-}
-
-std::size_t udp_endpoint::recv_batch(std::size_t max,
-                                     std::vector<std::pair<peer_id, bytes>>& out) {
-  view_scratch_.clear();
-  const std::size_t n = recv_batch_views(max, view_scratch_);
-  for (auto& [peer, view] : view_scratch_) {
-    const const_byte_span data = view.span();
-    out.emplace_back(peer, bytes(data.begin(), data.end()));
-  }
-  view_scratch_.clear();  // release slabs promptly
-  return n;
-}
-
-std::size_t udp_endpoint::flush_tx() {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    const std::size_t n = uring_tx_->flush();
-    uring_tx_->reap();
-    sync_telemetry();
-    return n;
-  }
-#endif
-  return 0;
-}
-
-bool udp_endpoint::tx_drain(std::chrono::milliseconds timeout) {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    const bool done = uring_tx_->drain(timeout);
-    sync_telemetry();
-    return done;
-  }
-#endif
-  (void)timeout;
-  return true;
-}
-
-std::size_t udp_endpoint::tx_inflight() const {
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) return uring_tx_->inflight();
-#endif
-  return 0;
 }
 
 std::size_t udp_endpoint::send_batch(peer_id to, std::span<const bytes> datagrams) {
   const sockaddr_in* addr = peers_.find(to);
   if (addr == nullptr) return 0;
   std::size_t accepted = 0;
-#if INTEREDGE_HAS_IO_URING
-  if (uring_tx_) {
-    // Stage the whole batch onto the tx ring; one enter submits it all.
-    // A full ring flushes (submit + reap) and retries once before falling
-    // back to the synchronous path — the batch is never silently dropped.
-    for (const bytes& d : datagrams) {
-      if (!uring_tx_->stage(*addr, {}, d, {})) {
-        flush_tx();
-        if (!uring_tx_->stage(*addr, {}, d, {})) {
-          if (!send_to_addr(addr, d)) break;
-          ++accepted;
-          continue;
-        }
-      }
-      ++sent_;
-      ++accepted;
-      if (uring_tx_->staged() >= kBatchMax) flush_tx();
-    }
-    flush_tx();
-    return accepted;
-  }
-#endif
 #ifdef __linux__
   std::size_t offset = 0;
   std::size_t retries = 0;
@@ -538,15 +270,14 @@ std::size_t udp_endpoint::send_batch(peer_id to, std::span<const bytes> datagram
 // ---- event_loop --------------------------------------------------------
 
 void event_loop::attach(udp_endpoint& endpoint, datagram_handler handler) {
-  endpoints_.push_back(attached{&endpoint, std::move(handler), nullptr, nullptr});
-}
-
-void event_loop::attach_batch(udp_endpoint& endpoint, batch_handler handler) {
-  endpoints_.push_back(attached{&endpoint, nullptr, std::move(handler), nullptr});
+  attach_views(endpoint, [handler = std::move(handler)](
+                             std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
+    for (const auto& [from, view] : datagrams) handler(from, view.span());
+  });
 }
 
 void event_loop::attach_views(udp_endpoint& endpoint, views_handler handler) {
-  endpoints_.push_back(attached{&endpoint, nullptr, nullptr, std::move(handler)});
+  endpoints_.push_back(attached{&endpoint, std::move(handler)});
 }
 
 void event_loop::schedule(nanoseconds delay, std::function<void()> fn) {
@@ -565,19 +296,17 @@ std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
     fn();
   }
 
-  // Timer callbacks may have staged sends; submit them before blocking in
-  // select (otherwise a quiet socket strands them for a full max_wait).
+  // Flush boundary: whatever timer callbacks sent goes out before select
+  // blocks (a quiet socket would otherwise hold it for a full max_wait).
   for (const attached& a : endpoints_) a.endpoint->flush_tx();
 
   // Wait for readability across all endpoints (bounded by the next timer).
-  // wait_fd() is the backend-agnostic readiness handle: the socket fd for
-  // mmsg, the ring fd (readable when completions are posted) for uring.
   fd_set readable;
   FD_ZERO(&readable);
   int max_fd = -1;
   for (const attached& a : endpoints_) {
-    FD_SET(a.endpoint->wait_fd(), &readable);
-    max_fd = std::max(max_fd, a.endpoint->wait_fd());
+    FD_SET(a.endpoint->fd(), &readable);
+    max_fd = std::max(max_fd, a.endpoint->fd());
   }
   auto wait = max_wait;
   if (!timers_.empty()) {
@@ -592,34 +321,16 @@ std::size_t event_loop::pass(std::chrono::milliseconds max_wait) {
   // Drain everything readable.
   std::size_t dispatched = 0;
   for (const attached& a : endpoints_) {
-    if (a.views) {
-      views_scratch_.clear();
-      while (a.endpoint->recv_batch_views(udp_endpoint::kBatchMax, views_scratch_) > 0) {
-      }
-      if (!views_scratch_.empty()) {
-        a.views(views_scratch_);
-        dispatched += views_scratch_.size();
-        views_scratch_.clear();  // release slabs before the next pass
-      }
-      continue;
+    views_scratch_.clear();
+    while (a.endpoint->recv_batch_views(udp_endpoint::kBatchMax, views_scratch_) > 0) {
     }
-    if (a.batch) {
-      batch_scratch_.clear();
-      while (a.endpoint->recv_batch(udp_endpoint::kBatchMax, batch_scratch_) > 0) {
-      }
-      if (!batch_scratch_.empty()) {
-        a.batch(batch_scratch_);
-        dispatched += batch_scratch_.size();
-      }
-      continue;
-    }
-    while (auto datagram = a.endpoint->poll()) {
-      a.handler(datagram->first, datagram->second);
-      ++dispatched;
+    if (!views_scratch_.empty()) {
+      a.handler(views_scratch_);
+      dispatched += views_scratch_.size();
+      views_scratch_.clear();  // release slabs before the next pass
     }
   }
-  // Handlers replying via send_gather leave sends staged; submit the batch
-  // before handing control back.
+  // Flush boundary again, for what the handlers sent.
   for (const attached& a : endpoints_) a.endpoint->flush_tx();
   return dispatched;
 }

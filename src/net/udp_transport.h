@@ -7,38 +7,16 @@
 // built from this library runs on a real network unchanged.
 //
 //   udp_endpoint  — a bound non-blocking UDP socket with a peer table
-//                   (peer_id <-> sockaddr), send/poll in pipe_manager's
+//                   (peer_id <-> sockaddr), send/receive in pipe_manager's
 //                   vocabulary
 //   event_loop    — single-threaded driver: pumps any number of endpoints
 //                   into their handlers and runs timers (the scheduler_fn
 //                   service_node/host_stack need)
 //
-// Receive is zero-copy: datagrams land directly in slabs from the
-// endpoint's buf_pool and are handed out as pkt_views (recv_batch_views).
-// Two rx backends sit under the same interface, chosen per endpoint at
-// construction:
-//
-//   mmsg   — recvmmsg(2) into pool slabs, one syscall per batch. The
-//            default for the legacy (port, reuse_port) constructor.
-//   uring  — io_uring with persistently re-armed RECVMSG slots over pool
-//            slabs (see io_uring_udp.h); draining posted completions costs
-//            no syscall. udp_config defaults to auto: uring when the
-//            kernel supports it, mmsg otherwise — the fallback is a
-//            runtime decision, never a build-time one.
-//
-// Under uring the kernel consumes the socket asynchronously, so readiness
-// loops must watch wait_fd() (the ring fd, readable when completions are
-// posted) rather than the socket fd; event_loop does. The legacy
-// bytes-returning recv_batch/poll are preserved on both backends (one copy
-// out of the slab) so existing callers run unchanged.
-//
-// Since ISSUE 8 the uring backend is full duplex: send_gather/send_batch
-// stage gather SQEs on a tx ring (sealed head copied into the slot,
-// payload pinned by slab reference until the completion retires), one
-// io_uring_enter per flush_tx() covers the whole egress burst, and
-// SENDMSG_ZC is used when the kernel has it. The mmsg backend's send path
-// is untouched — byte-identical for non-uring kernels — and every staged
-// path degrades to the synchronous syscall when the ring is saturated.
+// Receive is zero-copy: recvmmsg(2) lands datagrams directly in slabs from
+// the endpoint's buf_pool, one syscall per batch, and hands them out as
+// pkt_views (recv_batch_views). Send is synchronous: sendto/sendmsg per
+// datagram, sendmmsg(2) per batch.
 #pragma once
 
 #include <netinet/in.h>
@@ -60,54 +38,29 @@
 #include "common/flat_hash.h"
 #include "common/metrics.h"
 #include "ilp/header.h"
-#include "net/io_uring_udp.h"
 
 namespace interedge::net {
 
 using ilp::peer_id;
 
-enum class udp_backend {
-  auto_detect,  // uring if the kernel supports it, else mmsg
-  mmsg,
-  uring,
-};
+// The only reason this enum exists: perfbench/src/relay_udp.cpp:57 labels
+// its run by comparing backend() against `uring`, and the benchmark changes
+// only in its own commits. No config field sets it; backend() is always
+// mmsg. Delete both once the benchmark stops naming io_uring.
+enum class udp_backend { mmsg, uring };
 
 struct udp_config {
-  std::uint16_t port = 0;
+  std::uint16_t port = 0;  // 0 = ephemeral
+  // Set SO_REUSEPORT before bind so several endpoints (one per datapath
+  // worker) can share one port and let the kernel spread flows across them.
   bool reuse_port = false;
-  udp_backend backend = udp_backend::auto_detect;
-  bool sqpoll = false;        // uring only: request a kernel SQ poll thread
-  unsigned uring_slots = 64;  // uring only: rx slots kept armed
-  // uring only, egress (ISSUE 8): stage sends on a tx ring — gather SQEs
-  // batched into one io_uring_enter per flush, payload slabs pinned until
-  // the completion retires. Off (or ring setup failure) keeps the
-  // synchronous sendmsg/sendmmsg path byte-identically.
-  bool uring_tx = true;
-  unsigned uring_tx_slots = 64;  // in-flight staged sends
-  // Probe IORING_OP_SENDMSG_ZC and use it when present; plain SENDMSG
-  // otherwise (same bytes on the wire, one fewer kernel copy when it hits).
-  bool uring_zerocopy = true;
-  // Smallest message staged as SENDMSG_ZC (see uring_tx::config): a ZC
-  // skb's pinned-page truesize makes small-datagram bursts overrun the
-  // receiver's rcvbuf, so below this the slot stages plain SENDMSG. 0
-  // forces ZC for every send (tests).
-  std::size_t uring_zc_threshold = 4096;
-  // With sqpoll: pin the kernel SQ thread (IORING_SETUP_SQ_AFF) — the
-  // placement plumbing points this at the SN control core.
-  int sq_aff_cpu = -1;
-  buf::pool_config pool;      // slab size/count for the rx pool
+  buf::pool_config pool{};  // slab size/count for the rx pool
 };
 
 class udp_endpoint {
  public:
-  // Binds 127.0.0.1:port (port 0 = ephemeral). Throws std::runtime_error
-  // on socket failures. With reuse_port, SO_REUSEPORT is set before bind so
-  // several endpoints (one per datapath worker) can share one port and let
-  // the kernel spread flows across them. This constructor keeps the mmsg
-  // backend — existing callers see byte-identical behavior.
-  explicit udp_endpoint(std::uint16_t port = 0, bool reuse_port = false);
-  // Full-configuration constructor; backend auto-detect resolves here.
-  explicit udp_endpoint(const udp_config& cfg);
+  // Binds 127.0.0.1:cfg.port. Throws std::runtime_error on socket failures.
+  explicit udp_endpoint(const udp_config& cfg = {});
   ~udp_endpoint();
 
   udp_endpoint(const udp_endpoint&) = delete;
@@ -115,11 +68,7 @@ class udp_endpoint {
 
   std::uint16_t port() const { return port_; }
   int fd() const { return fd_; }
-  // The fd a readiness loop should watch: the io_uring ring fd under the
-  // uring backend (readable ⇔ completions posted), the socket otherwise.
-  int wait_fd() const;
-  // The backend actually in use (auto_detect resolved at construction).
-  udp_backend backend() const { return backend_; }
+  udp_backend backend() const { return udp_backend::mmsg; }
 
   // Registers a peer's network address. Datagrams from unregistered
   // sources are dropped (and counted).
@@ -130,65 +79,49 @@ class udp_endpoint {
   // (the kernel copies into the skb before sendto returns).
   bool send(peer_id to, const_byte_span datagram);
 
-  // Gather send: head + payload as two iovecs, so an egress path holding a
-  // sealed header and a payload view never glues them into one buffer.
-  // Under the uring backend with a tx ring this *stages* the send: the
-  // head is copied into a slot, the payload — when it aliases the rx pool
-  // — is pinned by slab reference until the completion retires (true
-  // zero-copy egress lifetime), and the SQE rides the next flush_tx()
-  // (auto-triggered every kBatchMax staged sends). Otherwise, and whenever
-  // the ring is saturated or the message oversized, it is one synchronous
-  // sendmsg(2) — staging degrades to the mmsg path, never drops.
+  // Gather send: head + payload as two iovecs in one sendmsg(2), so an
+  // egress path holding a sealed header and a payload view never glues
+  // them into one buffer.
   bool send_gather(peer_id to, const_byte_span head, const_byte_span payload);
 
-  // Submits every staged tx SQE with one syscall and retires posted
-  // completions (releasing their slab pins). No-op without a tx ring.
-  // event_loop calls this once per pass; manual drivers should call it
-  // after their send burst. Returns SQEs submitted.
-  std::size_t flush_tx();
-
-  // flush_tx + reap until no send is in flight (bounded). True when the
-  // tx path fully quiesced — tests use this to assert slab recycling.
-  bool tx_drain(std::chrono::milliseconds timeout = std::chrono::milliseconds(100));
-
-  // Sends staged on the tx ring whose completion hasn't retired yet.
-  std::size_t tx_inflight() const;
-
-  // Non-blocking receive of one datagram from a registered peer.
-  std::optional<std::pair<peer_id, bytes>> poll();
+  // The egress flush boundary: callers run flush_tx() after each send
+  // burst (event_loop does before it blocks and after it dispatches) and
+  // tx_drain() before teardown. Every send above completes synchronously,
+  // so both have nothing to do yet; coalesced egress will queue sends and
+  // flush them here.
+  std::size_t flush_tx() { return 0; }
+  bool tx_drain() { return true; }
 
   // Batch receive, zero-copy: drains up to `max` datagrams into pool-slab
   // views, appending (peer, view) pairs to `out`. Datagrams from
-  // unregistered sources are counted and skipped. Views hold slab
-  // references — the slab returns to the pool when the last view drops —
-  // and must not outlive this endpoint. Returns the number appended.
+  // unregistered sources are counted and skipped; datagrams larger than a
+  // slab are truncated and counted. Views hold slab references — the slab
+  // returns to the pool when the last view drops — and must not outlive
+  // this endpoint. Returns the number appended.
   std::size_t recv_batch_views(std::size_t max,
                                std::vector<std::pair<peer_id, buf::pkt_view>>& out);
-
-  // Legacy batch receive: same drain, each datagram copied out of its slab
-  // into owned bytes. Counter semantics identical to recv_batch_views.
-  std::size_t recv_batch(std::size_t max, std::vector<std::pair<peer_id, bytes>>& out);
 
   // Batch send: transmits every datagram to `to` with one sendmmsg(2)
   // call per chunk (loop fallback). Returns how many the kernel accepted;
   // 0 if the peer is unknown.
   std::size_t send_batch(peer_id to, std::span<const bytes> datagrams);
 
-  // Largest number of datagrams one recv_batch/send_batch syscall covers.
+  // Largest number of datagrams one recv_batch_views/send_batch syscall
+  // covers.
   static constexpr std::size_t kBatchMax = 32;
 
   std::uint64_t sent() const { return sent_; }
   std::uint64_t received() const { return received_; }
   std::uint64_t dropped_unknown() const { return dropped_unknown_; }
-  // recv_batch attempts that found nothing to deliver (socket empty / no
-  // completions posted). Distinguishes "nothing arrived" from a batch the
-  // kernel cut short.
+  // Receive attempts that found nothing to deliver (socket empty, or the
+  // pool held entirely by live views). Distinguishes "nothing arrived"
+  // from a batch the kernel cut short.
   std::uint64_t rx_empty() const { return rx_empty_; }
-  // recv_batch calls that drained fewer datagrams than asked (the EAGAIN
+  // Receive calls that drained fewer datagrams than asked (the EAGAIN
   // happened inside the batch). Callers sizing rings/batches off
-  // recv_batch need to see it.
+  // recv_batch_views need to see it.
   std::uint64_t rx_partial_batches() const { return rx_partial_batches_; }
-  // recv_batch failures that were NOT EAGAIN/EINTR (real socket errors).
+  // Receive failures that were NOT EAGAIN/EINTR (real socket errors).
   std::uint64_t rx_errors() const { return rx_errors_; }
   // Datagrams larger than a pool slab: delivered truncated and counted.
   // The slab default (9216) covers every MTU we bind; growth here means
@@ -200,25 +133,16 @@ class udp_endpoint {
   // not the wire; exposed as net.udp.send_again.
   std::uint64_t send_again() const { return send_again_; }
 
-  // The rx slab pool (sizing/exhaustion stats; shared with the uring
-  // backend's armed slots).
+  // The rx slab pool (sizing/exhaustion stats).
   const buf::buf_pool* pool() const { return pool_.get(); }
   buf::pool_stats pool_stats() const {
     return pool_ ? pool_->stats() : buf::pool_stats{};
   }
 
-#if INTEREDGE_HAS_IO_URING
-  // The egress ring, when the uring backend armed one (counter access for
-  // tests and diagnostics); nullptr under mmsg or when setup failed.
-  const uring_tx* tx_ring() const { return uring_tx_.get(); }
-#endif
-
-  // Optional: mirrors the endpoint's accounting into `reg` so it rides the
-  // SN's stats exposition and the SLO health plane — the net.udp.* socket
-  // counters plus the io_uring backend internals (completions, truncated
-  // datagrams, pool-starved slot parks, re-arm failures) when that backend
-  // is active. Mirrors count movement since enablement; the mirrored
-  // totals are delta-synced at the end of every rx batch.
+  // Optional: mirrors the endpoint's net.udp.* socket counters into `reg`
+  // so they ride the SN's stats exposition and the SLO health plane.
+  // Mirrors count movement since enablement; the mirrored totals are
+  // delta-synced at the end of every rx batch.
   void enable_telemetry(metrics_registry& reg) {
     m_send_again_ = &reg.get_counter("net.udp.send_again");
     m_rx_truncated_ = &reg.get_counter("net.udp.rx_truncated");
@@ -227,66 +151,23 @@ class udp_endpoint {
     last_rx_truncated_ = rx_truncated_;
     last_rx_errors_ = rx_errors_;
     last_dropped_unknown_ = dropped_unknown_;
-#if INTEREDGE_HAS_IO_URING
-    if (uring_) {
-      m_uring_completions_ = &reg.get_counter("net.uring.completions");
-      m_uring_truncated_ = &reg.get_counter("net.uring.truncated");
-      m_uring_parked_ = &reg.get_counter("net.uring.parked");
-      m_uring_rearm_failed_ = &reg.get_counter("net.uring.rearm_failed");
-      last_uring_completions_ = uring_->completions();
-      last_uring_truncated_ = uring_->truncated();
-      last_uring_parked_ = uring_->parked();
-      last_uring_rearm_failed_ = uring_->rearm_failed();
-    }
-    if (uring_tx_) {
-      m_tx_completions_ = &reg.get_counter("net.uring.tx.completions");
-      m_tx_short_sends_ = &reg.get_counter("net.uring.tx.short_sends");
-      m_tx_zc_used_ = &reg.get_counter("net.uring.tx.zc_used");
-      m_tx_zc_fallback_ = &reg.get_counter("net.uring.tx.zc_fallback");
-      m_tx_inflight_peak_ = &reg.get_gauge("net.uring.tx.inflight_peak");
-      m_tx_submit_batches_ = &reg.get_counter("net.uring.tx.submit_batches");
-      last_tx_completions_ = uring_tx_->completions();
-      last_tx_short_sends_ = uring_tx_->short_sends();
-      last_tx_zc_used_ = uring_tx_->zc_used();
-      last_tx_zc_fallback_ = uring_tx_->zc_fallback();
-      last_tx_submit_batches_ = uring_tx_->submit_batches();
-    }
-#endif
   }
 
  private:
-  void open_socket(std::uint16_t port, bool reuse_port);
-  void ensure_pool();
-  // Synchronous sendto with the bounded EAGAIN retry loop — the shared
-  // tail of send() and the staged paths' fallback.
-  bool send_to_addr(const sockaddr_in* addr, const_byte_span datagram);
   // Delta-syncs the mirrored counters from the raw totals; a handful of
   // subtractions per rx batch, adds only when something moved.
   void sync_telemetry();
-  std::size_t recv_batch_views_mmsg(std::size_t max,
-                                    std::vector<std::pair<peer_id, buf::pkt_view>>& out);
-#if INTEREDGE_HAS_IO_URING
-  std::size_t recv_batch_views_uring(std::size_t max,
-                                     std::vector<std::pair<peer_id, buf::pkt_view>>& out);
-#endif
 
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  udp_backend backend_ = udp_backend::mmsg;
-  udp_config cfg_;
+  buf::pool_config pool_cfg_;
   flat_hash64<sockaddr_in> peers_;     // peer_id -> addr
   flat_hash64<peer_id> by_source_;     // packed ip:port -> peer
   // Declaration order is lifetime order: slabs (pool_) outlive the cache
-  // and the uring slots that reference them.
+  // and the armed buffers that reference them.
   std::unique_ptr<buf::buf_pool> pool_;
   std::optional<buf::buf_pool::cache> cache_;
-#if INTEREDGE_HAS_IO_URING
-  std::unique_ptr<uring_rx> uring_;
-  std::unique_ptr<uring_tx> uring_tx_;  // reset before pool_: slots pin slabs
-  std::vector<uring_completion> reap_scratch_;
-#endif
   std::vector<buf::slab_ref> rx_slabs_;  // armed recvmmsg buffers, reused
-  std::vector<std::pair<peer_id, buf::pkt_view>> view_scratch_;  // legacy recv_batch/poll
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t dropped_unknown_ = 0;
@@ -302,27 +183,6 @@ class udp_endpoint {
   std::uint64_t last_rx_truncated_ = 0;
   std::uint64_t last_rx_errors_ = 0;
   std::uint64_t last_dropped_unknown_ = 0;
-#if INTEREDGE_HAS_IO_URING
-  counter* m_uring_completions_ = nullptr;
-  counter* m_uring_truncated_ = nullptr;
-  counter* m_uring_parked_ = nullptr;
-  counter* m_uring_rearm_failed_ = nullptr;
-  std::uint64_t last_uring_completions_ = 0;
-  std::uint64_t last_uring_truncated_ = 0;
-  std::uint64_t last_uring_parked_ = 0;
-  std::uint64_t last_uring_rearm_failed_ = 0;
-  counter* m_tx_completions_ = nullptr;
-  counter* m_tx_short_sends_ = nullptr;
-  counter* m_tx_zc_used_ = nullptr;
-  counter* m_tx_zc_fallback_ = nullptr;
-  gauge* m_tx_inflight_peak_ = nullptr;
-  counter* m_tx_submit_batches_ = nullptr;
-  std::uint64_t last_tx_completions_ = 0;
-  std::uint64_t last_tx_short_sends_ = 0;
-  std::uint64_t last_tx_zc_used_ = 0;
-  std::uint64_t last_tx_zc_fallback_ = 0;
-  std::uint64_t last_tx_submit_batches_ = 0;
-#endif
 
   // Transient send failures retry this many times before the datagram is
   // given up on (UDP is lossy; upper layers own reliability).
@@ -333,23 +193,17 @@ class udp_endpoint {
 class event_loop {
  public:
   using datagram_handler = std::function<void(peer_id from, const_byte_span data)>;
-  // Batch handler: one call per drained burst, in arrival order.
-  using batch_handler = std::function<void(std::span<std::pair<peer_id, bytes>> datagrams)>;
-  // Zero-copy batch handler: slab views, valid for the duration of the
-  // call (hold a clone to keep one longer).
+  // Batch handler: slab views, valid for the duration of the call (hold a
+  // clone to keep one longer).
   using views_handler =
       std::function<void(std::span<std::pair<peer_id, buf::pkt_view>> datagrams)>;
 
-  // Attaches an endpoint: arriving datagrams go to `handler`.
+  // Attaches an endpoint: arriving datagrams go to `handler`, one call per
+  // datagram, in arrival order.
   void attach(udp_endpoint& endpoint, datagram_handler handler);
 
-  // Batch attach: readable bursts are drained via recv_batch and handed to
-  // `handler` as one span per pass (the SN feeds these straight into its
-  // batched datapath).
-  void attach_batch(udp_endpoint& endpoint, batch_handler handler);
-
-  // Zero-copy attach: bursts drained via recv_batch_views — no per-packet
-  // copy between socket and handler.
+  // Batch attach: each pass's drained burst goes to `handler` as one span
+  // (the SN feeds these straight into its batched datapath).
   void attach_views(udp_endpoint& endpoint, views_handler handler);
 
   // Timer facility, signature-compatible with service_node/host_stack's
@@ -373,9 +227,7 @@ class event_loop {
  private:
   struct attached {
     udp_endpoint* endpoint;
-    datagram_handler handler;       // per-datagram path
-    batch_handler batch;            // batch path (used when set)
-    views_handler views;            // zero-copy path (used when set)
+    views_handler handler;
   };
   struct timer {
     std::chrono::steady_clock::time_point due;
@@ -387,11 +239,10 @@ class event_loop {
   };
 
   // One pass: fire due timers, drain readable sockets. Returns datagrams
-  // dispatched; `waited` reports whether it had to block.
+  // dispatched.
   std::size_t pass(std::chrono::milliseconds max_wait);
 
   std::vector<attached> endpoints_;
-  std::vector<std::pair<peer_id, bytes>> batch_scratch_;  // reused per pass
   std::vector<std::pair<peer_id, buf::pkt_view>> views_scratch_;  // reused per pass
   std::priority_queue<timer, std::vector<timer>, std::greater<>> timers_;
   std::uint64_t next_seq_ = 0;

@@ -174,7 +174,9 @@ TEST(Slo, ExposeWritesStateGaugesAndTransitionCount) {
       found_state = true;
       EXPECT_DOUBLE_EQ(s.value, 2.0);  // page
     }
-    if (s.name == "slo.transitions") EXPECT_GE(s.value, 1.0);
+    if (s.name == "slo.transitions") {
+      EXPECT_GE(s.value, 1.0);
+    }
   }
   EXPECT_TRUE(found_state);
 

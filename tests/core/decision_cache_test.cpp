@@ -139,7 +139,9 @@ TEST(DecisionCache, ServiceIndexConsistentUnderChurn) {
         EXPECT_EQ(cache.erase_service(svc), resident);
         for (std::uint64_t n = 0; n < 100; ++n) {
           const cache_key c = key_of(n);
-          if (c.service == svc) EXPECT_FALSE(cache.contains(c));
+          if (c.service == svc) {
+            EXPECT_FALSE(cache.contains(c));
+          }
         }
         break;
       }

@@ -34,15 +34,14 @@ run_preset() {
   # trace_test unit pass plus the end-to-end path_trace scenarios.
   echo "== $preset: path tracing (focused) =="
   ctest --preset "$preset" -R 'trace_collector_test|path_trace_test' --output-on-failure
-  # Zero-copy datapath (ISSUE 6): slab refcounts crossing threads and SPSC
-  # rings (buf_pool_test's handoff/concurrent cases are the tsan targets),
-  # plus the real-socket transport — both rx backends, in-place decrypt
-  # windows over pool slabs, view lifetimes through the event loop.
-  # Full-duplex egress (ISSUE 8) rides the same net_test pass: the UdpTx
-  # cases pin completion-driven slab release (tx pins racing rx recycling)
-  # and ShardedEgressConcurrentDrain pushes worker-shard forwards through
-  # the uring tx ring while the control thread flushes — the tsan target
-  # for the egress half.
+  # Zero-copy datapath: slab refcounts crossing threads and SPSC rings
+  # (buf_pool_test's handoff/concurrent cases are the tsan targets), plus
+  # the real-socket transport — recvmmsg into pool slabs, in-place decrypt
+  # windows over them, view lifetimes through the event loop. Egress is
+  # synchronous sendmsg/sendmmsg; ShardedEgressConcurrentDrain is its tsan
+  # target: worker shards fill egress rings while the control thread
+  # drains them into gather sends, and ingress slab references cross to
+  # the workers and back.
   echo "== $preset: slab pool + transport (focused) =="
   ctest --preset "$preset" -R 'buf_pool_test|net_test' --output-on-failure
   # SLO health plane (ISSUE 7): the flight recorder's multi-producer
@@ -83,6 +82,14 @@ run_preset() {
   for i in $(seq 20); do
     "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
     taskset -c 0 "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
+  done
+  # net_test runs sharded SNs and real sockets on several threads: the
+  # same 20 free, 20 on one CPU.
+  echo "== $preset: net_test x20 alone, x20 on one CPU =="
+  net_test="build-$preset/tests/net_test"
+  for i in $(seq 20); do
+    "$net_test" --gtest_brief=1
+    taskset -c 0 "$net_test" --gtest_brief=1
   done
 }
 
