@@ -39,16 +39,37 @@ using interedge::bench::g_heap_allocs;
 
 namespace {
 
-ilp::ilp_header flow_header() {
+// Every packet of one flow (the argument is the packet index; see preseal).
+ilp::ilp_header flow_header(std::size_t = 0) {
   ilp::ilp_header h;
   h.service = ilp::svc::delivery;
   h.connection = 777;
   return h;
 }
 
+// Delivery traffic as hosts send it: packet i on its own connection with
+// dest/src metadata, and a sampled trace context on every 16th packet.
+ilp::ilp_header delivery_header(std::size_t i) {
+  ilp::ilp_header h;
+  h.service = ilp::svc::delivery;
+  h.connection = 1000 + i;
+  h.flags = ilp::kFlagFromHost;
+  h.set_meta_u64(ilp::meta_key::dest_addr, 3);
+  h.set_meta_u64(ilp::meta_key::src_addr, 1);
+  if (i % 16 == 0) {
+    h.set_trace(trace::trace_context{.trace_id = i + 1,
+                                     .parent_span = 0,
+                                     .hop_count = 0,
+                                     .flags = trace::kTraceCtxSampled});
+  }
+  return h;
+}
+
 // A sender pipe_manager feeding a receiver wired the way service_node
 // wires it: pipes → terminus → decision cache → inline slow-path channel.
 struct datapath {
+  // The slow path's verdict for every flow, and the cache entry it installs.
+  decision verdict = decision::deliver();
   decision_cache cache{4096, 0};
   std::unique_ptr<inline_channel> channel;
   std::unique_ptr<pipe_terminus> terminus;
@@ -59,13 +80,13 @@ struct datapath {
   std::vector<packet> batch_scratch;
 
   datapath() {
-    channel = std::make_unique<inline_channel>([](slowpath_request req) {
+    channel = std::make_unique<inline_channel>([this](slowpath_request req) {
       const auto header = ilp::ilp_header::decode(req.header_bytes);
       slowpath_response resp;
       resp.token = req.token;
-      resp.verdict = decision::deliver();
+      resp.verdict = verdict;
       resp.cache_inserts.emplace_back(cache_key{req.l3_src, header.service, header.connection},
-                                      decision::deliver());
+                                      verdict);
       return resp;
     });
     terminus = std::make_unique<pipe_terminus>(
@@ -107,6 +128,13 @@ struct datapath {
     }
   }
 
+  // Forward verdicts for every flow (into the terminus' no-op sink), with
+  // path spans for sampled trace contexts going to `spans`.
+  void use_forward_verdicts(trace::path_recorder* spans) {
+    verdict = decision::forward_to(3);
+    terminus->enable_path_tracing(spans);
+  }
+
   // Switches delivery to the zero-copy shape service_node uses since
   // ISSUE 6: the terminus consumes packet_views aliasing the decrypted
   // buffers instead of per-packet owned copies.
@@ -122,12 +150,14 @@ struct datapath {
     });
   }
 
-  // Seals `count` same-flow data datagrams of `payload_size` bytes. PSP is
-  // stateless per packet, so the burst can be replayed every iteration.
-  std::vector<bytes> preseal(std::size_t count, std::size_t payload_size) {
+  // Seals `count` data datagrams of `payload_size` bytes, packet i with
+  // header `header_of(i)`. PSP is stateless per packet, so the burst can
+  // be replayed every iteration.
+  std::vector<bytes> preseal(std::size_t count, std::size_t payload_size,
+                             ilp::ilp_header (*header_of)(std::size_t) = flow_header) {
     sender_out.clear();
     for (std::size_t i = 0; i < count; ++i) {
-      sender->send(2, flow_header(), bytes(payload_size, 0x77));
+      sender->send(2, header_of(i), bytes(payload_size, 0x77));
     }
     std::vector<bytes> wires;
     wires.swap(sender_out);
@@ -444,14 +474,17 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
 // ---- ISSUE 6: the copying baseline vs the zero-copy slab datapath ----
 //
 // Both arms run the identical chain (framing parse, batched PSP open,
-// decision-cache consult, terminus verdict) on the same presealed burst;
-// they differ only in buffer handling. Copying: arena decrypt + every
-// delivered payload copied into an owned packet (the pre-ISSUE-6 shape).
-// Zero-copy: datagrams live in pool slabs, headers decrypt in place over
-// their own ciphertext, and the terminus consumes views — no payload copy
-// anywhere. Each arm also audits its steady-state heap allocations with
-// the binary's instrumented operator new (alloc_counter.h); the zero-copy
-// arm fails the bench if the audit finds any.
+// decision-cache consult, terminus verdict) on the same presealed burst
+// of delivery traffic (delivery_header: a connection per packet, dest/src
+// metadata, a sampled trace context on every 16th packet; forward
+// verdicts); they differ only in buffer handling. Copying: arena decrypt
+// + every delivered payload copied into an owned packet (the shape before
+// the slab datapath). Zero-copy: datagrams live in pool slabs, headers
+// decrypt in place over their own ciphertext, and the terminus consumes
+// views — no payload copy anywhere. Each arm also audits its steady-state
+// heap allocations with the binary's instrumented operator new
+// (alloc_counter.h); the zero-copy arm fails the bench if the audit finds
+// any.
 
 // Allocation audit: run `rounds` untimed repetitions of `fn` with heap
 // counting on; returns allocations per round.
@@ -473,8 +506,10 @@ constexpr std::size_t kZeroCopyPayload = 1024;
 
 void BM_IngressDatapathCopying(benchmark::State& state) {
   datapath dp;
+  trace::path_recorder path_spans(trace::path_recorder::config{.node = 2});
+  dp.use_forward_verdicts(&path_spans);
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload);
+  const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload, delivery_header);
 
   // Faithful pre-ISSUE-6 shape: the transport handed every datagram out as
   // a freshly allocated `bytes` (udp_endpoint::recv_batch copied out of
@@ -506,9 +541,11 @@ void BM_IngressDatapathCopying(benchmark::State& state) {
 
 void BM_IngressDatapathZeroCopy(benchmark::State& state) {
   datapath dp;
+  trace::path_recorder path_spans(trace::path_recorder::config{.node = 2});
+  dp.use_forward_verdicts(&path_spans);
   dp.use_view_deliver();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload);
+  const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload, delivery_header);
 
   buf::pool_config pcfg;
   pcfg.slab_size = 2048;

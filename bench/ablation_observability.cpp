@@ -161,7 +161,7 @@ void BM_TraceCtxCodec(benchmark::State& state) {
   ctx.hop_count = 3;
   ctx.flags = trace::kTraceCtxSampled;
   for (auto _ : state) {
-    const bytes wire = ctx.encode();
+    const auto wire = ctx.encode();
     auto back = trace::trace_context::decode(wire);
     benchmark::DoNotOptimize(back);
   }

@@ -45,16 +45,26 @@ void flight_recorder::record(const fr_event& e) {
   }
   const std::uint64_t t = cursor_.fetch_add(1, std::memory_order_relaxed);
   slot& s = slots_[t & mask_];
-  // Odd generation marks the slot in-flight; payload words are plain
-  // relaxed atomic stores (no UB under concurrent overwrite); the even
-  // release store publishes everything to a validating reader.
-  s.seq.store(2 * t + 1, std::memory_order_relaxed);
-  s.words[0].store(e.time_ns, std::memory_order_relaxed);
+  // Claim the slot: one writer at a time, and never over a newer ticket.
+  // A writer that finds the slot mid-write, or lapped by a writer a full
+  // ring ahead, drops its event into the contention count instead of
+  // waiting, so record() stays wait-free.
+  std::uint64_t cur = s.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((cur & 1) != 0 || cur >= 2 * t + 2) {
+      dropped_contended_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (s.seq.compare_exchange_weak(cur, 2 * t + 1, std::memory_order_relaxed)) break;
+  }
+  // Release stores: a reader whose acquire load sees any of these words
+  // also sees the claim above, so its re-check of seq catches the write.
+  s.words[0].store(e.time_ns, std::memory_order_release);
   s.words[1].store((static_cast<std::uint64_t>(e.kind) << 32) | e.code,
-                   std::memory_order_relaxed);
-  s.words[2].store(e.a, std::memory_order_relaxed);
-  s.words[3].store(e.b, std::memory_order_relaxed);
-  s.words[4].store(e.c, std::memory_order_relaxed);
+                   std::memory_order_release);
+  s.words[2].store(e.a, std::memory_order_release);
+  s.words[3].store(e.b, std::memory_order_release);
+  s.words[4].store(e.c, std::memory_order_release);
   s.seq.store(2 * t + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -92,18 +102,16 @@ std::vector<fr_event> flight_recorder::snapshot() const {
   for (const slot& s : slots_) {
     const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
     if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
+    // Acquire loads keep the validating re-load of seq after every
+    // payload read, and a word from a later writer carries its claim.
     fr_event e;
-    e.time_ns = s.words[0].load(std::memory_order_relaxed);
-    const std::uint64_t kc = s.words[1].load(std::memory_order_relaxed);
+    e.time_ns = s.words[0].load(std::memory_order_acquire);
+    const std::uint64_t kc = s.words[1].load(std::memory_order_acquire);
     e.kind = static_cast<fr_kind>(kc >> 32);
     e.code = static_cast<std::uint32_t>(kc);
-    e.a = s.words[2].load(std::memory_order_relaxed);
-    e.b = s.words[3].load(std::memory_order_relaxed);
-    e.c = s.words[4].load(std::memory_order_relaxed);
-    // The fence keeps the validation re-load from reordering ahead of the
-    // payload reads above — without it a slot overwritten mid-read could
-    // still validate.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    e.a = s.words[2].load(std::memory_order_acquire);
+    e.b = s.words[3].load(std::memory_order_acquire);
+    e.c = s.words[4].load(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_relaxed) != s1) continue;  // overwritten under us
     got.push_back(ticketed{s1 / 2 - 1, e});
   }
@@ -120,7 +128,8 @@ std::string flight_recorder::dump_json() const {
   std::ostringstream os;
   os << "{\"frozen\":" << (frozen() ? "true" : "false") << ",\"trigger\":\""
      << fr_trigger_names(frozen_by()) << "\",\"recorded\":" << recorded()
-     << ",\"dropped_frozen\":" << dropped_frozen() << ",\"events\":[";
+     << ",\"dropped_frozen\":" << dropped_frozen()
+     << ",\"dropped_contended\":" << dropped_contended() << ",\"events\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const fr_event& e = events[i];
     if (i) os << ",";

@@ -5,12 +5,15 @@
 //
 // Write side is wait-free and multi-producer: a writer claims a ticket
 // with one fetch_add and publishes into slot (ticket & mask) under a
-// seqlock-style generation — the slot's sequence goes odd (2t+1) before
-// the payload words are stored and even (2t+2, release) after. Every slot
-// word is an atomic, so concurrent overwrite is a benign data race to the
-// language (no UB, TSan-clean); the reader validates that a slot's
-// sequence is even and unchanged across its read and simply skips slots
-// caught mid-overwrite. Recording costs a handful of relaxed stores —
+// seqlock-style generation. It claims the slot by a CAS of the slot's
+// sequence from even to odd (2t+1), stores the payload words (release)
+// and publishes with an even 2t+2 (release), so each slot has one writer
+// at a time. Writers a full ring apart can meet at one slot: the one that
+// finds it mid-write, or already holding a newer ticket, drops its event
+// into a counted drop (dropped_contended) rather than wait or tear the
+// slot. The reader validates that a slot's sequence is even and unchanged
+// across its acquire loads of the words and skips slots caught
+// mid-overwrite. Recording costs a CAS and a handful of plain stores —
 // cheap enough to feed from the control thread's span drain without a
 // measurable datapath tax.
 //
@@ -99,6 +102,11 @@ class flight_recorder {
   std::uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
   // Events refused because the ring was frozen.
   std::uint64_t dropped_frozen() const { return dropped_frozen_.load(std::memory_order_relaxed); }
+  // Events dropped because their slot was busy with, or already held, a
+  // writer a full ring ahead.
+  std::uint64_t dropped_contended() const {
+    return dropped_contended_.load(std::memory_order_relaxed);
+  }
   std::size_t capacity() const { return slots_.size(); }
 
  private:
@@ -114,6 +122,7 @@ class flight_recorder {
   std::atomic<std::uint64_t> cursor_{0};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_frozen_{0};
+  std::atomic<std::uint64_t> dropped_contended_{0};
   std::atomic<bool> frozen_{false};
   std::atomic<std::uint32_t> frozen_by_{0};
   std::uint32_t trigger_mask_;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -20,11 +21,20 @@ template <typename T>
 class spsc_ring {
  public:
   // Capacity is rounded up to a power of two; usable slots = capacity - 1.
+  // Slots are raw storage: an element is constructed by its push and
+  // destroyed by its pop, so building a ring touches none of its memory.
   explicit spsc_ring(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity + 1) cap <<= 1;
-    slots_.resize(cap);
+    slots_ = std::allocator<T>().allocate(cap);
     mask_ = cap - 1;
+  }
+  ~spsc_ring() {
+    for (std::size_t i = tail_.load(std::memory_order_relaxed);
+         i != head_.load(std::memory_order_relaxed); i = (i + 1) & mask_) {
+      std::destroy_at(slots_ + i);
+    }
+    std::allocator<T>().deallocate(slots_, mask_ + 1);
   }
 
   spsc_ring(const spsc_ring&) = delete;
@@ -34,7 +44,7 @@ class spsc_ring {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t next = (head + 1) & mask_;
     if (next == tail_.load(std::memory_order_acquire)) return false;  // full
-    slots_[head] = std::move(value);
+    std::construct_at(slots_ + head, std::move(value));
     head_.store(next, std::memory_order_release);
     return true;
   }
@@ -42,7 +52,8 @@ class spsc_ring {
   std::optional<T> try_pop() {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail == head_.load(std::memory_order_acquire)) return std::nullopt;  // empty
-    T value = std::move(slots_[tail]);
+    std::optional<T> value(std::move(slots_[tail]));
+    std::destroy_at(slots_ + tail);
     tail_.store((tail + 1) & mask_, std::memory_order_release);
     return value;
   }
@@ -55,7 +66,9 @@ class spsc_ring {
     const std::size_t tail = tail_.load(std::memory_order_acquire);
     const std::size_t free = mask_ - ((head - tail) & mask_);
     const std::size_t n = std::min(free, values.size());
-    for (std::size_t i = 0; i < n; ++i) slots_[(head + i) & mask_] = std::move(values[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::construct_at(slots_ + ((head + i) & mask_), std::move(values[i]));
+    }
     if (n > 0) head_.store((head + n) & mask_, std::memory_order_release);
     return n;
   }
@@ -67,7 +80,11 @@ class spsc_ring {
     const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t avail = (head - tail) & mask_;
     const std::size_t n = std::min(avail, max);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(std::move(slots_[(tail + i) & mask_]));
+    for (std::size_t i = 0; i < n; ++i) {
+      T* slot = slots_ + ((tail + i) & mask_);
+      out.push_back(std::move(*slot));
+      std::destroy_at(slot);
+    }
     if (n > 0) tail_.store((tail + n) & mask_, std::memory_order_release);
     return n;
   }
@@ -89,11 +106,11 @@ class spsc_ring {
   // Backing storage, exposed for advisory NUMA placement (mbind the slots
   // onto the consumer's node). Construction-time only — never while the
   // ring carries traffic.
-  void* storage() { return slots_.data(); }
-  std::size_t storage_bytes() const { return slots_.size() * sizeof(T); }
+  void* storage() { return slots_; }
+  std::size_t storage_bytes() const { return (mask_ + 1) * sizeof(T); }
 
  private:
-  std::vector<T> slots_;
+  T* slots_ = nullptr;
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::size_t> head_{0};
   alignas(64) std::atomic<std::size_t> tail_{0};

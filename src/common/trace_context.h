@@ -23,6 +23,7 @@
 // layer can include it without pulling in the metrics/trace machinery.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -42,14 +43,14 @@ struct trace_context {
 
   bool sampled() const { return (flags & kTraceCtxSampled) != 0; }
 
-  bytes encode() const {
-    bytes out;
-    out.reserve(kTraceCtxSize);
-    out.push_back(kTraceCtxVersion);
-    out.push_back(flags);
-    out.push_back(hop_count);
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(trace_id >> (8 * i)));
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(parent_span >> (8 * i)));
+  // The 19-byte wire form, built on the stack.
+  std::array<std::uint8_t, kTraceCtxSize> encode() const {
+    std::array<std::uint8_t, kTraceCtxSize> out;
+    out[0] = kTraceCtxVersion;
+    out[1] = flags;
+    out[2] = hop_count;
+    for (int i = 0; i < 8; ++i) out[3 + i] = static_cast<std::uint8_t>(trace_id >> (8 * i));
+    for (int i = 0; i < 8; ++i) out[11 + i] = static_cast<std::uint8_t>(parent_span >> (8 * i));
     return out;
   }
 

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -26,10 +27,8 @@ decision decode_decision(reader& r) {
   d.kind = static_cast<decision::verdict>(r.u8());
   d.ttl = nanoseconds(static_cast<std::int64_t>(r.varint()));
   const std::uint64_t n = r.varint();
-  // n is attacker-influenced: validate against the bytes actually present
-  // before any allocation (8 bytes per hop).
-  if (n > r.remaining() / 8) throw serial_error("decision hop count exceeds input");
-  d.next_hops.reserve(n);
+  // n is attacker-influenced: bound it before filling the inline list.
+  if (n > kMaxNextHops) throw serial_error("decision has too many next hops");
   for (std::uint64_t i = 0; i < n; ++i) d.next_hops.push_back(r.u64());
   return d;
 }
@@ -205,7 +204,7 @@ std::optional<slowpath_response> ring_channel::poll_wait() {
 
 slowpath_hub::slowpath_hub(slowpath_handler handler, std::size_t shards, std::size_t depth,
                            wake_fn wake)
-    : handler_(std::move(handler)), wake_(std::move(wake)) {
+    : handler_(std::move(handler)), wake_(std::move(wake)), touched_(shards, false) {
   endpoints_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     endpoints_.push_back(std::make_unique<endpoint_impl>(depth));
@@ -214,7 +213,7 @@ slowpath_hub::slowpath_hub(slowpath_handler handler, std::size_t shards, std::si
 
 std::size_t slowpath_hub::pump() {
   std::size_t served = 0;
-  std::vector<bool> touched(endpoints_.size(), false);
+  std::fill(touched_.begin(), touched_.end(), false);
   for (std::size_t src = 0; src < endpoints_.size(); ++src) {
     while (auto req = endpoints_[src]->requests.try_pop()) {
       slowpath_response resp;
@@ -245,13 +244,13 @@ std::size_t slowpath_hub::pump() {
         if (wake_) wake_(dst);
         spin_pause();
       }
-      touched[dst] = true;
+      touched_[dst] = true;
       ++served;
     }
   }
   if (wake_) {
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      if (touched[i]) wake_(i);
+      if (touched_[i]) wake_(i);
     }
   }
   return served;

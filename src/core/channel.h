@@ -193,6 +193,7 @@ class slowpath_hub {
   counter* expired_counter_ = nullptr;
   std::uint64_t expired_ = 0;
   std::vector<std::unique_ptr<endpoint_impl>> endpoints_;
+  std::vector<bool> touched_;  // pump() scratch: shards that got a response
 };
 
 // socketpair(2) + service thread: one syscall per direction per packet,

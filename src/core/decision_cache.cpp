@@ -250,7 +250,7 @@ std::size_t decision_cache::restore_warm(const_byte_span data, time_point now) {
     decision d;
     d.kind = static_cast<decision::verdict>(r.u8());
     const std::uint64_t hop_count = r.varint();
-    d.next_hops.reserve(hop_count);
+    if (hop_count > kMaxNextHops) throw serial_error("decision_cache snapshot: too many next hops");
     for (std::uint64_t h = 0; h < hop_count; ++h) d.next_hops.push_back(r.u64());
     d.ttl = nanoseconds(static_cast<std::int64_t>(remaining_ns));
     insert(key, std::move(d));

@@ -2,8 +2,11 @@
 // pipe-terminus, the decision cache, and service modules.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <stdexcept>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -44,6 +47,40 @@ struct cache_key {
   bool operator==(const cache_key&) const = default;
 };
 
+// Most next hops one decision carries. Every service builds single-hop
+// verdicts; wider fan-outs (pub/sub, multicast) leave through
+// module_result::sends instead.
+inline constexpr std::size_t kMaxNextHops = 4;
+
+// A decision's next hops, stored inline so that copying a decision never
+// allocates.
+class hop_list {
+ public:
+  hop_list() = default;
+  // Throws std::invalid_argument past kMaxNextHops.
+  hop_list(std::initializer_list<peer_id> hops) {
+    for (const peer_id hop : hops) push_back(hop);
+  }
+
+  // Throws std::invalid_argument when the list already holds kMaxNextHops.
+  void push_back(peer_id hop) {
+    if (size_ == kMaxNextHops) throw std::invalid_argument("decision: too many next hops");
+    hops_[size_++] = hop;
+  }
+
+  const peer_id* begin() const { return hops_.data(); }
+  const peer_id* end() const { return hops_.data() + size_; }
+  std::size_t size() const { return size_; }
+
+  bool operator==(const hop_list& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  std::array<peer_id, kMaxNextHops> hops_{};
+  std::uint8_t size_ = 0;
+};
+
 // A match-action decision. "The decision can specify multiple forwarding
 // destinations, in which case a copy of the packet is forwarded to each."
 struct decision {
@@ -53,7 +90,7 @@ struct decision {
     drop = 2,
   };
   verdict kind = verdict::drop;
-  std::vector<peer_id> next_hops;
+  hop_list next_hops;
   // Optional lifetime: 0 = live until LRU eviction / invalidation; > 0 =
   // the cache expires the entry `ttl` after insertion (requires the cache
   // to have a clock — see decision_cache::set_clock). Shed/default
@@ -61,9 +98,8 @@ struct decision {
   nanoseconds ttl{0};
 
   static decision forward_to(peer_id hop) { return {verdict::forward, {hop}}; }
-  static decision forward_all(std::vector<peer_id> hops) {
-    return {verdict::forward, std::move(hops)};
-  }
+  // Throws std::invalid_argument past kMaxNextHops.
+  static decision forward_all(hop_list hops) { return {verdict::forward, hops}; }
   static decision deliver() { return {verdict::deliver_local, {}}; }
   static decision drop_packet() { return {verdict::drop, {}}; }
 

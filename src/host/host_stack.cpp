@@ -12,7 +12,7 @@ void connection::send(bytes payload) {
   header.flags = ilp::kFlagFromHost;
   header.set_meta_u64(ilp::meta_key::dest_addr, remote_);
   header.set_meta_u64(ilp::meta_key::src_addr, stack_->addr());
-  for (const auto& [key, value] : options_) header.metadata[key] = value;
+  for (const auto& [key, value] : options_) header.set_meta_raw(key, value);
   stack_->send_packet(via_, header, std::move(payload));
 }
 

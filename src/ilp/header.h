@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <cstring>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "common/trace_context.h"
@@ -78,30 +80,50 @@ enum class meta_key : std::uint16_t {
                        // versions
 };
 
+// Inline capacity of a header's metadata section, in bytes. Sized from
+// measured traffic: delivery headers carry 22 B (dest + src address),
+// pub/sub publishes at most 42 B and the scenario suites at most 79 B.
+// A larger section spills to the heap; the paper places no limit on the
+// length of the header, so there is no reject.
+inline constexpr std::size_t kInlineMetadata = 88;
+
 struct ilp_header {
   service_id service = 0;
   connection_id connection = 0;
   std::uint16_t flags = 0;
-  std::map<std::uint16_t, bytes> metadata;
 
   bytes encode() const;
   // Appends the encoding to `w` (scratch-reuse variant for the datapath).
   void encode_into(writer& w) const;
-  // Throws interedge::serial_error on malformed input.
+  // Throws interedge::serial_error on malformed input. Input whose
+  // metadata is not canonical (unsorted or duplicate keys, over-long
+  // length varints) is normalized: the last duplicate wins and encode()
+  // writes the canonical form.
   static ilp_header decode(const_byte_span data);
 
   // Typed metadata accessors.
-  void set_meta(meta_key key, const_byte_span value);
+  void set_meta(meta_key key, const_byte_span value) {
+    set_meta_raw(static_cast<std::uint16_t>(key), value);
+  }
   void set_meta_u64(meta_key key, std::uint64_t value);
   void set_meta_str(meta_key key, std::string_view value);
-  std::optional<const_byte_span> meta(meta_key key) const;
+  std::optional<const_byte_span> meta(meta_key key) const {
+    return meta_raw(static_cast<std::uint16_t>(key));
+  }
   std::optional<std::uint64_t> meta_u64(meta_key key) const;
   std::optional<std::string> meta_str(meta_key key) const;
 
+  // Raw-key access, for service-private keys (>= 0x100). A returned span
+  // points into the header and stays valid until the header changes.
+  void set_meta_raw(std::uint16_t key, const_byte_span value);
+  std::optional<const_byte_span> meta_raw(std::uint16_t key) const;
+  bool erase_meta(std::uint16_t key);
+
   // Trace-context carriage (ISSUE 5). Only sampled packets carry one, so
-  // trace_ctx() on the common path is a single failed map lookup.
+  // trace_ctx() on the common path is a single failed metadata lookup.
   void set_trace(const trace::trace_context& ctx) {
-    metadata[static_cast<std::uint16_t>(meta_key::trace_ctx)] = ctx.encode();
+    const auto wire = ctx.encode();
+    set_meta(meta_key::trace_ctx, wire);
   }
   std::optional<trace::trace_context> trace_ctx() const {
     const auto raw = meta(meta_key::trace_ctx);
@@ -109,7 +131,72 @@ struct ilp_header {
     return trace::trace_context::decode(*raw);
   }
 
-  bool operator==(const ilp_header&) const = default;
+  bool operator==(const ilp_header& o) const {
+    return service == o.service && connection == o.connection && flags == o.flags &&
+           meta_.count == o.meta_.count && meta_.size == o.meta_.size &&
+           std::memcmp(meta_.data(), o.meta_.data(), meta_.size) == 0;
+  }
+
+ private:
+  // The metadata section exactly as it appears on the wire after the
+  // entry count: `u16 key | varint len | value` per entry, keys strictly
+  // increasing. The bytes live inline up to kInlineMetadata and on the
+  // heap past it; copying a header copies them.
+  struct section {
+    section() = default;
+    section(const section& o) { assign(o.data(), o.size, o.count); }
+    section(section&& o) noexcept { take(o); }
+    section& operator=(const section& o) {
+      if (this != &o) assign(o.data(), o.size, o.count);
+      return *this;
+    }
+    section& operator=(section&& o) noexcept {
+      if (this != &o) {
+        if (o.heap != nullptr) {
+          delete[] heap;
+          heap = nullptr;
+          capacity = kInlineMetadata;
+        }
+        take(o);
+      }
+      return *this;
+    }
+    ~section() { delete[] heap; }
+
+    const std::uint8_t* data() const { return heap != nullptr ? heap : inline_bytes; }
+    std::uint8_t* data() { return heap != nullptr ? heap : inline_bytes; }
+    void assign(const std::uint8_t* src, std::size_t n, std::uint32_t entries);
+    // Replaces `remove` bytes at `pos` with an uninitialized gap of
+    // `insert` bytes and returns the gap.
+    std::uint8_t* splice(std::size_t pos, std::size_t remove, std::size_t insert);
+
+    std::uint8_t* heap = nullptr;  // null while the bytes fit inline
+    std::size_t size = 0;
+    std::size_t capacity = kInlineMetadata;
+    std::uint32_t count = 0;
+    std::uint8_t inline_bytes[kInlineMetadata];
+
+   private:
+    // Moves `o`'s bytes here (stealing its heap buffer) and empties it.
+    void take(section& o) noexcept {
+      if (o.heap != nullptr) {
+        heap = o.heap;
+        capacity = o.capacity;
+        o.heap = nullptr;
+        o.capacity = kInlineMetadata;
+      } else {
+        std::memcpy(data(), o.inline_bytes, o.size);
+      }
+      size = o.size;
+      count = o.count;
+      o.size = 0;
+      o.count = 0;
+    }
+  };
+
+  void normalize_meta(const_byte_span wire, std::uint64_t entries);
+
+  section meta_;
 };
 
 }  // namespace interedge::ilp

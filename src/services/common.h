@@ -53,35 +53,34 @@ enum class skey : std::uint16_t {
 inline void set_skey_u64(ilp::ilp_header& h, skey key, std::uint64_t value) {
   std::uint8_t enc[8];
   for (int i = 0; i < 8; ++i) enc[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  h.metadata[static_cast<std::uint16_t>(key)] = bytes(enc, enc + 8);
+  h.set_meta_raw(static_cast<std::uint16_t>(key), enc);
 }
 
 inline void set_skey_str(ilp::ilp_header& h, skey key, std::string_view value) {
-  h.metadata[static_cast<std::uint16_t>(key)] = to_bytes(value);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(value.data());
+  h.set_meta_raw(static_cast<std::uint16_t>(key), const_byte_span(p, value.size()));
 }
 
 inline void set_skey_bytes(ilp::ilp_header& h, skey key, const_byte_span value) {
-  h.metadata[static_cast<std::uint16_t>(key)] = bytes(value.begin(), value.end());
+  h.set_meta_raw(static_cast<std::uint16_t>(key), value);
 }
 
 inline std::optional<std::uint64_t> get_skey_u64(const ilp::ilp_header& h, skey key) {
-  auto it = h.metadata.find(static_cast<std::uint16_t>(key));
-  if (it == h.metadata.end() || it->second.size() != 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(it->second[i]) << (8 * i);
-  return v;
+  const auto v = h.meta_raw(static_cast<std::uint16_t>(key));
+  if (!v || v->size() != 8) return std::nullopt;
+  std::uint64_t out = 0;
+  for (int i = 0; i < 8; ++i) out |= static_cast<std::uint64_t>((*v)[i]) << (8 * i);
+  return out;
 }
 
 inline std::optional<std::string> get_skey_str(const ilp::ilp_header& h, skey key) {
-  auto it = h.metadata.find(static_cast<std::uint16_t>(key));
-  if (it == h.metadata.end()) return std::nullopt;
-  return to_string(it->second);
+  const auto v = h.meta_raw(static_cast<std::uint16_t>(key));
+  if (!v) return std::nullopt;
+  return to_string(*v);
 }
 
 inline std::optional<const_byte_span> get_skey_bytes(const ilp::ilp_header& h, skey key) {
-  auto it = h.metadata.find(static_cast<std::uint16_t>(key));
-  if (it == h.metadata.end()) return std::nullopt;
-  return const_byte_span(it->second);
+  return h.meta_raw(static_cast<std::uint16_t>(key));
 }
 
 // Control operation names (standardized so configuration is portable

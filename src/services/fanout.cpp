@@ -61,7 +61,7 @@ core::outbound group_fanout::relay_copy(const core::packet& pkt, core::peer_id t
   if (target_domain) {
     set_skey_u64(o.header, skey::target_domain, *target_domain);
   } else {
-    o.header.metadata.erase(static_cast<std::uint16_t>(skey::target_domain));
+    o.header.erase_meta(static_cast<std::uint16_t>(skey::target_domain));
   }
   o.payload = pkt.payload;
   return o;

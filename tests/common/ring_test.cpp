@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 namespace interedge {
 namespace {
@@ -39,6 +40,32 @@ TEST(SpscRing, MoveOnlyTypes) {
   auto popped = ring.try_pop();
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(**popped, 7);
+}
+
+// Slots are raw storage: building a ring constructs no element, a pop
+// destroys what its push built, and the ring destroys what is left.
+TEST(SpscRing, ElementsLiveOnlyBetweenPushAndPop) {
+  static int live = 0;
+  struct counted {
+    counted() { ++live; }
+    counted(const counted&) { ++live; }
+    counted(counted&&) noexcept { ++live; }
+    ~counted() { --live; }
+  };
+  {
+    spsc_ring<counted> ring(8);
+    EXPECT_EQ(live, 0);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(counted{}));
+    EXPECT_EQ(live, 5);
+    ring.try_pop();
+    EXPECT_EQ(live, 4);
+    std::vector<counted> out;
+    EXPECT_EQ(ring.try_pop_batch(out, 2), 2u);
+    EXPECT_EQ(live, 4);  // two moved out, two still in the ring
+    out.clear();
+    EXPECT_EQ(live, 2);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 // Property: cross-thread, every pushed element arrives exactly once, in order.

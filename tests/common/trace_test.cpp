@@ -164,7 +164,7 @@ TEST(TraceContext, EncodeDecodeRoundTrip) {
   ctx.parent_span = 0x1122334455667788ull;
   ctx.hop_count = 3;
   ctx.flags = kTraceCtxSampled;
-  const bytes wire = ctx.encode();
+  const auto wire = ctx.encode();
   ASSERT_EQ(wire.size(), kTraceCtxSize);
   EXPECT_EQ(wire[0], kTraceCtxVersion);
   const auto back = trace_context::decode(wire);
@@ -176,7 +176,7 @@ TEST(TraceContext, EncodeDecodeRoundTrip) {
 TEST(TraceContext, ShortBufferAndUnknownVersionRejected) {
   trace_context ctx;
   ctx.trace_id = 7;
-  bytes wire = ctx.encode();
+  auto wire = ctx.encode();
   // Short input: a truncated TLV must read as "untraced", not garbage.
   EXPECT_FALSE(trace_context::decode(const_byte_span(wire.data(), wire.size() - 1)).has_value());
   // Unknown version: an un-upgraded peer's view of a future layout.
@@ -188,7 +188,8 @@ TEST(TraceContext, TrailingBytesTolerated) {
   trace_context ctx;
   ctx.trace_id = 42;
   ctx.hop_count = 2;
-  bytes wire = ctx.encode();
+  const auto enc = ctx.encode();
+  bytes wire(enc.begin(), enc.end());
   wire.push_back(0xaa);  // future minor revision appends a field
   const auto back = trace_context::decode(wire);
   ASSERT_TRUE(back.has_value());

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/serial.h"
+
 namespace interedge::core {
 namespace {
 
@@ -150,6 +152,26 @@ TEST(ResponseCodec, RoundTripAllVerdicts) {
     const slowpath_response decoded = slowpath_response::decode(resp.encode());
     EXPECT_EQ(decoded.verdict, resp.verdict);
   }
+}
+
+// The inline hop list holds kMaxNextHops. A response that claims more is
+// malformed input: decode throws serial_error, nothing else.
+TEST(DecisionCodec, MoreThanMaxNextHopsIsSerialError) {
+  auto response_with_hops = [](std::size_t hops) {
+    writer w;
+    w.u64(1);  // token
+    w.u16(0);  // annotations
+    w.u8(static_cast<std::uint8_t>(decision::verdict::forward));
+    w.varint(0);  // ttl
+    w.varint(hops);
+    for (std::size_t i = 0; i < hops; ++i) w.u64(10 + i);
+    w.varint(0);  // cache inserts
+    w.varint(0);  // sends
+    return w.take();
+  };
+  EXPECT_EQ(slowpath_response::decode(response_with_hops(kMaxNextHops)).verdict.next_hops.size(),
+            kMaxNextHops);
+  EXPECT_THROW(slowpath_response::decode(response_with_hops(kMaxNextHops + 1)), serial_error);
 }
 
 TEST(RequestCodec, DeadlineRoundTrips) {

@@ -18,7 +18,7 @@ TEST(DecisionCache, InsertLookup) {
   const auto d = cache.lookup(k);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->kind, decision::verdict::forward);
-  EXPECT_EQ(d->next_hops, std::vector<peer_id>{99});
+  EXPECT_EQ(d->next_hops, hop_list{99});
 }
 
 TEST(DecisionCache, KeyComponentsAllMatter) {
@@ -192,6 +192,11 @@ TEST(DecisionCache, MulticastStyleMultiHopDecision) {
   EXPECT_EQ(d->next_hops.size(), 3u);
 }
 
+TEST(Decision, ForwardAllRejectsMoreThanMaxNextHops) {
+  EXPECT_EQ(decision::forward_all({1, 2, 3, 4}).next_hops.size(), kMaxNextHops);
+  EXPECT_THROW(decision::forward_all({1, 2, 3, 4, 5}), std::invalid_argument);
+}
+
 // Property: under arbitrary interleavings of insert/lookup/erase, the
 // cache never exceeds capacity and lookup only returns inserted values.
 TEST(DecisionCache, RandomizedInvariants) {
@@ -238,7 +243,7 @@ TEST(DecisionCache, EvictionNeverCorrupts) {
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const auto d = cache.lookup(key_of(i));
     if (d) {
-      EXPECT_EQ(d->next_hops, std::vector<peer_id>{i});
+      EXPECT_EQ(d->next_hops, hop_list{i});
     }
   }
 }
@@ -353,8 +358,27 @@ TEST(DecisionCache, SnapshotRestoreRoundTrip) {
   const auto d = standby.lookup({4, 5, 6});
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->kind, decision::verdict::forward);
-  EXPECT_EQ(d->next_hops, (std::vector<peer_id>{7, 8}));
+  EXPECT_EQ(d->next_hops, (hop_list{7, 8}));
   EXPECT_EQ(standby.lookup({7, 8, 9})->kind, decision::verdict::drop);
+}
+
+// A snapshot entry with more next hops than a decision holds is malformed
+// input: restore_warm throws serial_error.
+TEST(DecisionCache, RestoreWarmRejectsMoreThanMaxNextHops) {
+  writer w;
+  w.u8(1);      // snapshot format version
+  w.varint(1);  // one entry
+  w.u64(1);     // l3_src
+  w.u32(2);     // service
+  w.u64(3);     // connection
+  w.u64(0);     // hits
+  w.u64(0);     // remaining ttl
+  w.u8(static_cast<std::uint8_t>(decision::verdict::forward));
+  w.varint(kMaxNextHops + 1);
+  for (std::size_t i = 0; i <= kMaxNextHops; ++i) w.u64(10 + i);
+  decision_cache standby(16);
+  EXPECT_THROW(standby.restore_warm(w.data(), time_point{}), serial_error);
+  EXPECT_EQ(standby.size(), 0u);
 }
 
 TEST(DecisionCache, SnapshotCarriesRemainingTtl) {

@@ -269,28 +269,37 @@ TEST(ShardedDatapath, ConnectionInvalidationIsTargeted) {
 }
 
 // A full ingress ring is counted backpressure, never corruption: every
-// packet is either steered (and forwarded) or counted as dropped.
+// packet is either steered (and forwarded) or counted as dropped. The
+// worker is stalled while the burst is steered, so the ring fills however
+// the threads interleave.
 TEST(ShardedDatapath, IngressRingFullDropsAreCounted) {
   simulation net;
   testing::identity_router route;
   auto alice = make_host(net);
   auto bob = make_host(net);
-  auto sn = make_sn(net, &route, 1, /*ring_depth=*/2);
+  constexpr std::size_t kRingDepth = 2;
+  auto sn = make_sn(net, &route, 1, kRingDepth);
   sn->env().deploy(std::make_unique<testing::forwarder_module>());
+  alice->mgr->connect(sn->node_id());
+  settle(net, *sn);
+  ASSERT_TRUE(alice->mgr->has_pipe(sn->node_id()));
 
-  constexpr int kPackets = 300;
-  const std::string big(1024, 'x');  // slow worker-side open vs the cheap peek
-  for (int p = 0; p < kPackets; ++p) {
-    alice->mgr->send(sn->node_id(), delivery_header(bob->node), to_bytes(big));
+  constexpr std::uint64_t kPackets = 300;
+  sn->inject_worker_stall(0, true);
+  for (std::uint64_t p = 0; p < kPackets; ++p) {
+    alice->mgr->send(sn->node_id(), delivery_header(bob->node), to_bytes("x"));
   }
+  net.run();  // steers the whole burst into the stalled shard's ring
+  sn->inject_worker_stall(0, false);
   settle(net, *sn);
 
   const std::uint64_t steered = steered_total(*sn);
   const std::uint64_t drops = ingress_drops_total(*sn);
-  EXPECT_EQ(steered + drops, static_cast<std::uint64_t>(kPackets));
+  const std::uint64_t ring_slots = spsc_ring<int>(kRingDepth).capacity();
+  EXPECT_EQ(steered + drops, kPackets);
+  EXPECT_EQ(steered, ring_slots);  // the stalled worker takes none of the burst
+  EXPECT_GE(drops, kPackets - ring_slots);
   EXPECT_EQ(bob->received.size(), static_cast<std::size_t>(steered));
-  EXPECT_GT(steered, 0u);
-  EXPECT_GT(drops, 0u);  // capacity-2 ring against a 300-packet burst
 }
 
 // ISSUE 8: the worker-side egress spill is bounded. With the control

@@ -71,9 +71,11 @@ run_preset() {
   # buffers (the padded remainder quad, the 4-block head) and opens may
   # decrypt in place over the ciphertext. asan guards those buffers and
   # the aliasing, ubsan the lane arithmetic; ilp_test and fuzz_test push
-  # sealed and hostile datagrams through the same calls.
-  echo "== $preset: crypto + ILP (focused) =="
-  ctest --preset "$preset" -R 'crypto_test|ilp_test|fuzz_test' --output-on-failure
+  # sealed and hostile datagrams through the same calls. The ILP header
+  # keeps its metadata inline with a heap spill, and alloc_test drives
+  # the inline and sharded SN through it with the allocation budget on.
+  echo "== $preset: crypto + ILP + allocation budget (focused) =="
+  ctest --preset "$preset" -R 'crypto_test|ilp_test|fuzz_test|alloc_test' --output-on-failure
   # DdosShed races worker shards against the slow-path budget: its checks
   # must hold however the threads interleave, so it runs 20 times free
   # and 20 times with every thread on one CPU.
@@ -82,6 +84,14 @@ run_preset() {
   for i in $(seq 20); do
     "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
     taskset -c 0 "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
+  done
+  # The flight recorder's slots take one writer at a time; before that
+  # rule its concurrent test caught a torn slot about 1 run in 5 under
+  # asan, so the concurrent case runs 50 times.
+  echo "== $preset: flight recorder x50 =="
+  health_test="build-$preset/tests/health_test"
+  for i in $(seq 50); do
+    "$health_test" --gtest_filter='FlightRecorder.*' --gtest_brief=1
   done
   # net_test runs sharded SNs and real sockets on several threads: the
   # same 20 free, 20 on one CPU.
