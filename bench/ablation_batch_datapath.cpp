@@ -1,14 +1,11 @@
 // Ablation A6: batched SN ingress datapath. Measures packets/sec through
 // the full receive chain — pipe decrypt, decision-cache consult, terminus
-// verdict — at batch sizes 1/8/32/128. Batch size 1 runs the legacy
-// per-packet path (pipe_manager::on_datagram → pipe::open →
-// pipe_terminus::handle, each packet paying its own allocations, cache
-// lookup and slow-path drain); sizes > 1 run the batched path
-// (on_datagram_batch → pipe::decrypt_batch → handle_batch) where scratch
-// buffers are reused, same-flow packets share one cache lookup and the
-// slow-path channel is drained once per batch. The UDP arms isolate the
-// syscall half of the story: recvmmsg/sendmmsg versus one syscall per
-// datagram over loopback.
+// verdict — at batch sizes 1/8/32/128, all on the SN's one ingress path
+// (on_datagram_batch_mut → pipe::decrypt_batch_mut → handle_batch): batch
+// size 1 is a batch of one, and larger batches reuse scratch, let
+// same-flow packets share one cache lookup and drain the slow-path channel
+// once per batch. The UDP arms isolate the syscall half of the story:
+// recvmmsg/sendmmsg versus one syscall per datagram over loopback.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -65,8 +62,32 @@ ilp::ilp_header delivery_header(std::size_t i) {
   return h;
 }
 
+// A presealed burst replayed through on_datagram_batch_mut. The in-place
+// open destroys each wire's sealed header, so every round first copies the
+// wires into reused buffers; PSP keeps no replay window, so the same burst
+// opens again every round.
+class replay {
+ public:
+  explicit replay(std::vector<bytes> wires) : wires_(std::move(wires)), copies_(wires_) {
+    for (bytes& c : copies_) muts_.emplace_back(c);
+  }
+
+  void feed(ilp::pipe_manager& receiver) {
+    for (std::size_t i = 0; i < wires_.size(); ++i) {
+      std::memcpy(copies_[i].data(), wires_[i].data(), wires_[i].size());
+    }
+    receiver.on_datagram_batch_mut(1, muts_);
+  }
+
+ private:
+  std::vector<bytes> wires_;
+  std::vector<bytes> copies_;
+  std::vector<byte_span> muts_;
+};
+
 // A sender pipe_manager feeding a receiver wired the way service_node
-// wires it: pipes → terminus → decision cache → inline slow-path channel.
+// wires it: pipes → terminus (packet_views aliasing the decrypted
+// buffers) → decision cache → inline slow-path channel.
 struct datapath {
   // The slow path's verdict for every flow, and the cache entry it installs.
   decision verdict = decision::deliver();
@@ -77,7 +98,7 @@ struct datapath {
   std::vector<bytes> receiver_out;  // datagrams receiver → sender
   std::unique_ptr<ilp::pipe_manager> sender;
   std::unique_ptr<ilp::pipe_manager> receiver;
-  std::vector<packet> batch_scratch;
+  std::vector<packet_view> view_scratch;
 
   datapath() {
     channel = std::make_unique<inline_channel>([this](slowpath_request req) {
@@ -97,16 +118,15 @@ struct datapath {
     receiver = std::make_unique<ilp::pipe_manager>(
         2, [this](peer_id, bytes d) { receiver_out.push_back(std::move(d)); },
         [this](peer_id from, const ilp::ilp_header& h, bytes payload) {
-          terminus->handle(packet{from, h, std::move(payload)});
+          packet_view one{from, h, payload};
+          terminus->handle_batch(std::span(&one, 1));
         });
     receiver->set_batch_deliver([this](peer_id from, std::span<ilp::opened_packet> pkts) {
-      batch_scratch.clear();
-      batch_scratch.reserve(pkts.size());
+      view_scratch.clear();
       for (ilp::opened_packet& p : pkts) {
-        batch_scratch.push_back(
-            packet{from, std::move(p.header), bytes(p.payload.begin(), p.payload.end())});
+        view_scratch.push_back(packet_view{from, std::move(p.header), p.payload});
       }
-      terminus->handle_batch(batch_scratch);
+      terminus->handle_batch(std::span<packet_view>(view_scratch));
     });
 
     // Handshake, then warm the decision cache with one packet of the flow.
@@ -135,21 +155,6 @@ struct datapath {
     terminus->enable_path_tracing(spans);
   }
 
-  // Switches delivery to the zero-copy shape service_node uses since
-  // ISSUE 6: the terminus consumes packet_views aliasing the decrypted
-  // buffers instead of per-packet owned copies.
-  std::vector<packet_view> view_scratch;
-  void use_view_deliver() {
-    receiver->set_batch_deliver([this](peer_id from, std::span<ilp::opened_packet> pkts) {
-      view_scratch.clear();
-      view_scratch.reserve(pkts.size());
-      for (ilp::opened_packet& p : pkts) {
-        view_scratch.push_back(packet_view{from, std::move(p.header), p.payload});
-      }
-      terminus->handle_batch(std::span<packet_view>(view_scratch));
-    });
-  }
-
   // Seals `count` data datagrams of `payload_size` bytes, packet i with
   // header `header_of(i)`. PSP is stateless per packet, so the burst can
   // be replayed every iteration.
@@ -166,21 +171,14 @@ struct datapath {
 };
 
 // Full ingress chain at varying batch sizes; range(0) == 1 is the
-// per-packet baseline the ≥2x claim is measured against.
+// batch-of-one baseline the batching gain is measured against.
 void BM_IngressDatapath(benchmark::State& state) {
   datapath dp;
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, 256);
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(dp.preseal(batch, 256));
 
-  if (batch == 1) {
-    for (auto _ : state) {
-      dp.receiver->on_datagram(1, wires[0]);
-    }
-  } else {
-    for (auto _ : state) {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+  for (auto _ : state) {
+    burst.feed(*dp.receiver);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
   state.counters["pkts/s"] =
@@ -200,17 +198,10 @@ void BM_IngressDatapath_Telemetry(benchmark::State& state) {
   trace::scoped_tracer st(&tracer);
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, 256);
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(dp.preseal(batch, 256));
 
-  if (batch == 1) {
-    for (auto _ : state) {
-      dp.receiver->on_datagram(1, wires[0]);
-    }
-  } else {
-    for (auto _ : state) {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+  for (auto _ : state) {
+    burst.feed(*dp.receiver);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
   state.counters["pkts/s"] =
@@ -244,16 +235,11 @@ void BM_IngressDatapath_Robustness(benchmark::State& state) {
                                     .high_water = 1024});
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, 256);
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(dp.preseal(batch, 256));
 
   std::uint64_t iter = 0;
   for (auto _ : state) {
-    if (batch == 1) {
-      dp.receiver->on_datagram(1, wires[0]);
-    } else {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+    burst.feed(*dp.receiver);
     // ~10ms of timer work per ~4096 bursts: probe cycle each tick, a full
     // decision-cache checkpoint snapshot every 16th (~160ms period).
     if ((++iter & 0xfff) == 0) {
@@ -296,16 +282,11 @@ void BM_IngressDatapath_Profiled(benchmark::State& state) {
   prof::scoped_cycle_set ambient(&cycles);
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, 256);
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(dp.preseal(batch, 256));
 
   std::uint64_t iter = 0;
   for (auto _ : state) {
-    if (batch == 1) {
-      dp.receiver->on_datagram(1, wires[0]);
-    } else {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+    burst.feed(*dp.receiver);
     if ((++iter & 0xfff) == 0) {
       clk.advance(std::chrono::milliseconds(10));
       dp.receiver->liveness_tick();
@@ -373,16 +354,12 @@ void ingress_path_tracing(benchmark::State& state, bool sampled) {
   } else {
     wires = dp.preseal(batch, 256);
   }
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(std::move(wires));
 
   std::vector<trace::path_span> drained;
   std::uint64_t iter = 0;
   for (auto _ : state) {
-    if (batch == 1) {
-      dp.receiver->on_datagram(1, wires[0]);
-    } else {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+    burst.feed(*dp.receiver);
     if (sampled) {
       drained.clear();
       rec.drain(drained, batch);  // the control thread's drain, amortized
@@ -437,17 +414,12 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
   std::atomic<std::uint64_t> heartbeat{0};
 
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, 256);
-  std::vector<const_byte_span> spans(wires.begin(), wires.end());
+  replay burst(dp.preseal(batch, 256));
 
   std::int64_t ns = 0;
   std::uint64_t iter = 0;
   for (auto _ : state) {
-    if (batch == 1) {
-      dp.receiver->on_datagram(1, wires[0]);
-    } else {
-      dp.receiver->on_datagram_batch(1, spans);
-    }
+    burst.feed(*dp.receiver);
     heartbeat.fetch_add(1, std::memory_order_relaxed);  // the pump's beat
     if ((++iter & 0xfff) == 0) {
       // The control thread's health tick: mutate a few series the way live
@@ -471,20 +443,16 @@ void BM_IngressDatapath_HealthPlane(benchmark::State& state) {
   state.counters["health_ticks"] = static_cast<double>(ts.ticks());
 }
 
-// ---- ISSUE 6: the copying baseline vs the zero-copy slab datapath ----
+// ---- the zero-copy slab datapath ---------------------------------------
 //
-// Both arms run the identical chain (framing parse, batched PSP open,
-// decision-cache consult, terminus verdict) on the same presealed burst
-// of delivery traffic (delivery_header: a connection per packet, dest/src
-// metadata, a sampled trace context on every 16th packet; forward
-// verdicts); they differ only in buffer handling. Copying: arena decrypt
-// + every delivered payload copied into an owned packet (the shape before
-// the slab datapath). Zero-copy: datagrams live in pool slabs, headers
-// decrypt in place over their own ciphertext, and the terminus consumes
-// views — no payload copy anywhere. Each arm also audits its steady-state
-// heap allocations with the binary's instrumented operator new
-// (alloc_counter.h); the zero-copy arm fails the bench if the audit finds
-// any.
+// The full chain (framing parse, batched in-place PSP open, decision-cache
+// consult, terminus verdict) over a presealed burst of delivery traffic
+// (delivery_header: a connection per packet, dest/src metadata, a sampled
+// trace context on every 16th packet; forward verdicts). Datagrams live in
+// pool slabs, headers decrypt in place over their own ciphertext, and the
+// terminus consumes views — no payload copy anywhere. The arm audits its
+// steady-state heap allocations with the binary's instrumented operator
+// new (alloc_counter.h) and fails the bench if the audit finds any.
 
 // Allocation audit: run `rounds` untimed repetitions of `fn` with heap
 // counting on; returns allocations per round.
@@ -498,52 +466,16 @@ double audit_allocs(std::size_t rounds, Fn&& fn) {
          static_cast<double>(rounds);
 }
 
-// MTU-representative payload for the copy-tax arms: PSP seals only the
-// ILP header, so decrypt cost is size-invariant while the copying
-// baseline's tax scales per byte. 1 KiB is the regime the zero-copy
-// refactor targets; the 256-byte story is BM_IngressDatapath above.
+// MTU-representative payload: PSP seals only the ILP header, so decrypt
+// cost is size-invariant while any payload copy scales per byte. 1 KiB is
+// the regime the zero-copy datapath targets; the 256-byte story is
+// BM_IngressDatapath above.
 constexpr std::size_t kZeroCopyPayload = 1024;
-
-void BM_IngressDatapathCopying(benchmark::State& state) {
-  datapath dp;
-  trace::path_recorder path_spans(trace::path_recorder::config{.node = 2});
-  dp.use_forward_verdicts(&path_spans);
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload, delivery_header);
-
-  // Faithful pre-ISSUE-6 shape: the transport handed every datagram out as
-  // a freshly allocated `bytes` (udp_endpoint::recv_batch copied out of
-  // its receive scratch), then the arena decrypt + owned-packet deliver
-  // copied the payload again. Both copies are in this arm.
-  std::vector<bytes> owned;
-  std::vector<const_byte_span> spans;
-  auto ingest = [&] {
-    owned.clear();
-    spans.clear();
-    for (const bytes& w : wires) {
-      owned.emplace_back(w.begin(), w.end());  // the rx handout copy
-      spans.emplace_back(owned.back().data(), owned.back().size());
-    }
-    dp.receiver->on_datagram_batch(1, spans);
-  };
-
-  ingest();  // warm-up: scratch reaches capacity
-  for (auto _ : state) {
-    ingest();
-  }
-  const double allocs_per_round = audit_allocs(64, ingest);
-
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
-  state.counters["pkts/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * batch), benchmark::Counter::kIsRate);
-  state.counters["heap_allocs_per_pkt"] = allocs_per_round / static_cast<double>(batch);
-}
 
 void BM_IngressDatapathZeroCopy(benchmark::State& state) {
   datapath dp;
   trace::path_recorder path_spans(trace::path_recorder::config{.node = 2});
   dp.use_forward_verdicts(&path_spans);
-  dp.use_view_deliver();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const std::vector<bytes> wires = dp.preseal(batch, kZeroCopyPayload, delivery_header);
 
@@ -671,7 +603,6 @@ void BM_UdpLoopback_Batched(benchmark::State& state) { udp_loopback(state, true)
 }  // namespace
 
 BENCHMARK(BM_IngressDatapath)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_IngressDatapathCopying)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_IngressDatapathZeroCopy)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_IngressDatapath_Telemetry)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_Robustness)->Arg(1)->Arg(32)->Arg(128);

@@ -75,8 +75,8 @@ void BM_Terminus_HitRateSweep(benchmark::State& state) {
     const bool hit = static_cast<int>(i % 100) < hit_percent;
     pkt.header.connection = hit ? (i % 100) : cold++;
     ++i;
-    packet copy = pkt;
-    terminus.handle(std::move(copy));
+    packet_view one{pkt.l3_src, pkt.header, pkt.payload};
+    terminus.handle_batch(std::span(&one, 1));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["fast_path"] = static_cast<double>(terminus.stats().fast_path);

@@ -15,11 +15,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/buf_pool.h"
 #include "common/clock.h"
 #include "core/service_node.h"
 #include "ilp/pipe_manager.h"
@@ -62,6 +64,9 @@ struct harness {
   real_clock clk;
   std::vector<bytes> sender_out;  // sender -> SN
   std::vector<bytes> sn_out;      // SN -> sender (handshake replies)
+  // Slabs the bursts are fed in; declared before the SN, whose shards hold
+  // views until they are done with them.
+  buf::buf_pool pool{buf::pool_config{.slab_size = 2048, .slab_count = 2 * kBurst}};
   std::unique_ptr<ilp::pipe_manager> sender;
   std::unique_ptr<service_node> sn;
 
@@ -127,8 +132,9 @@ void BM_ParallelDatapath(benchmark::State& state) {
   harness h(workers);
   const std::vector<bytes> wires = h.preseal();
 
-  std::vector<std::pair<peer_id, bytes>> scratch;
-  scratch.reserve(feed_batch);
+  buf::buf_pool::cache slabs(h.pool);
+  std::vector<std::pair<peer_id, buf::pkt_view>> views;
+  views.reserve(feed_batch);
   std::uint64_t packets = 0;
   double seconds = 0;
   for (auto _ : state) {
@@ -136,11 +142,16 @@ void BM_ParallelDatapath(benchmark::State& state) {
     std::size_t i = 0;
     while (i < wires.size()) {
       const std::size_t n = std::min(feed_batch, wires.size() - i);
-      scratch.clear();
-      // The parallel SN moves datagram bytes into the shard rings, so each
-      // burst hands over fresh copies (the copy is charged to every arm).
-      for (std::size_t k = 0; k < n; ++k) scratch.emplace_back(1, wires[i + k]);
-      h.sn->on_datagrams(std::span<std::pair<peer_id, bytes>>(scratch));
+      views.clear();
+      // Each burst is copied into pool slabs, as the transport receives
+      // into them (the copy is charged to every arm). The pool holds two
+      // bursts and wait_idle drains one per iteration, so it never runs dry.
+      for (std::size_t k = 0; k < n; ++k) {
+        buf::slab_ref slab = slabs.try_alloc();
+        std::memcpy(slab.data(), wires[i + k].data(), wires[i + k].size());
+        views.emplace_back(1, buf::pkt_view(std::move(slab), 0, wires[i + k].size()));
+      }
+      h.sn->on_datagram_views(views);
       i += n;
     }
     h.sn->wait_idle(std::chrono::milliseconds(10000));

@@ -227,7 +227,8 @@ bench_result run_null_service(bool enclave, std::chrono::milliseconds duration,
 
     boundary.cross(wire);  // VM ingress I/O
     auto opened = pipes.sn_ingress.open(const_byte_span(wire).subspan(1));
-    terminus.handle(core::packet{kHost, std::move(opened->first), std::move(opened->second)});
+    core::packet_view one{kHost, std::move(opened->first), opened->second};
+    terminus.handle_batch(std::span(&one, 1));
   }
   while (terminus.busy()) terminus.pump();
 

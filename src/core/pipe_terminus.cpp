@@ -16,14 +16,6 @@ char verdict_char(decision::verdict v) {
   return trace::kVerdictNone;
 }
 
-// The slow-path pending table outlives the batch that filled it, so a
-// packet_view detouring there is copied into an owned packet; an owned
-// packet just moves.
-packet to_owned(packet&& p) { return std::move(p); }
-packet to_owned(packet_view&& p) {
-  return packet{p.l3_src, std::move(p.header), bytes(p.payload.begin(), p.payload.end())};
-}
-
 }  // namespace
 
 pipe_terminus::pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward)
@@ -54,8 +46,8 @@ counter& pipe_terminus::service_rx_counter(ilp::service_id service) {
 void pipe_terminus::flush_telemetry() {
   if (reg_ == nullptr) return;
   // Watermark deltas rather than a caller-captured `before`: verdicts a
-  // bare pump() applies between handle() calls land above the watermark
-  // and get picked up by whichever flush runs next.
+  // bare pump() applies between handle_batch() calls land above the
+  // watermark and get picked up by whichever flush runs next.
   m_fast_->add(stats_.fast_path - flushed_.fast_path);
   m_slow_->add(stats_.slow_path - flushed_.slow_path);
   m_forwarded_->add(stats_.forwarded - flushed_.forwarded);
@@ -157,70 +149,7 @@ bool pipe_terminus::submit_bounded(const slowpath_request& req, bool is_control)
   return true;
 }
 
-void pipe_terminus::handle(packet pkt) {
-  ++stats_.received;
-  const bool sampled = tracer_ != nullptr && tracer_->sample_tick();
-
-  // Control-plane packets always reach the service module: they mutate
-  // service state and must not be short-circuited by a stale decision.
-  const bool is_control = (pkt.header.flags & ilp::kFlagControl) != 0;
-  if (!is_control) {
-    const cache_key key{pkt.l3_src, pkt.header.service, pkt.header.connection};
-    if (auto d = cache_.lookup(key)) {
-      ++stats_.fast_path;
-      apply_or_trace(*d, pkt.header, pkt.payload, sampled, 0);
-      if (reg_ != nullptr) {
-        service_rx_counter(pkt.header.service).add();
-        flush_telemetry();
-      }
-      return;
-    }
-  }
-
-  if (!is_control && should_shed()) {
-    shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
-    if (reg_ != nullptr) {
-      service_rx_counter(pkt.header.service).add();
-      flush_telemetry();
-    }
-    return;
-  }
-
-  ++stats_.slow_path;
-  slowpath_request req;
-  req.token = next_token_++;
-  req.l3_src = pkt.l3_src;
-  req.deadline_ns = deadline_for_now();
-  req.header_bytes = pkt.header.encode();
-  req.payload = pkt.payload;  // services like caching need it; §4 fidelity note in DESIGN.md
-
-  const std::uint64_t token = req.token;
-  if (!submit_bounded(req, is_control)) {
-    // Channel stayed full through the retry budget: shed instead of
-    // blocking the fast path behind a wedged slow path.
-    shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
-    if (reg_ != nullptr) {
-      service_rx_counter(pkt.header.service).add();
-      flush_telemetry();
-    }
-    return;
-  }
-  auto ptc = sampled_ctx(pkt.header);
-  in_flight_.emplace(token, pending{std::move(pkt), ptc.value_or(trace::trace_context{}),
-                                    ptc ? path_rec_->now() : 0});
-  pump();
-  if (reg_ != nullptr) {
-    service_rx_counter(pkt.header.service).add();
-    flush_telemetry();
-  }
-}
-
-void pipe_terminus::handle_batch(std::span<packet> pkts) { handle_batch_impl(pkts); }
-
-void pipe_terminus::handle_batch(std::span<packet_view> pkts) { handle_batch_impl(pkts); }
-
-template <typename P>
-void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
+void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
   trace::span batch_span(trace::stage::ingress);
   prof::cycle_scope cyc(prof::cycle_stage::terminus);
   // One atomic claims the whole batch's sampler sequence range; per packet
@@ -250,12 +179,14 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
   };
 
   std::uint64_t pkt_index = 0;
-  for (P& pkt : pkts) {
+  for (packet_view& pkt : pkts) {
     ++stats_.received;
     tally_rx(pkt.header.service);
     const bool sampled =
         tracer_ != nullptr && tracer_->sample_hit(sample_base + pkt_index);
     ++pkt_index;
+    // Control-plane packets always reach the service module: they mutate
+    // service state and must not be short-circuited by a stale decision.
     const bool is_control = (pkt.header.flags & ilp::kFlagControl) != 0;
     if (!is_control) {
       const cache_key key{pkt.l3_src, pkt.header.service, pkt.header.connection};
@@ -299,17 +230,23 @@ void pipe_terminus::handle_batch_impl(std::span<P> pkts) {
     req.l3_src = pkt.l3_src;
     req.deadline_ns = deadline_for_now();
     req.header_bytes = pkt.header.encode();
+    // Services like caching need the payload; §4 fidelity note in DESIGN.md.
     req.payload.assign(pkt.payload.begin(), pkt.payload.end());
 
     const std::uint64_t token = req.token;
     if (!submit_bounded(req, is_control)) {
+      // Channel stayed full through the retry budget: shed instead of
+      // blocking the fast path behind a wedged slow path.
       shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
       continue;
     }
+    // The pending table outlives the batch, so the packet detouring there
+    // is copied into an owned packet.
     auto ptc = sampled_ctx(pkt.header);
-    in_flight_.emplace(token,
-                       pending{to_owned(std::move(pkt)), ptc.value_or(trace::trace_context{}),
-                               ptc ? path_rec_->now() : 0});
+    in_flight_.emplace(token, pending{packet{pkt.l3_src, std::move(pkt.header),
+                                             bytes(pkt.payload.begin(), pkt.payload.end())},
+                                      ptc.value_or(trace::trace_context{}),
+                                      ptc ? path_rec_->now() : 0});
     submitted = true;
   }
 

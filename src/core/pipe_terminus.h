@@ -11,7 +11,7 @@
 // The channel may be asynchronous (service on another thread/process), so
 // the terminus keeps a bounded in-flight table and drains completions via
 // pump(). With the inline channel a submit completes immediately and
-// handle() drains it before returning.
+// handle_batch() drains it before returning.
 #pragma once
 
 #include <array>
@@ -71,20 +71,16 @@ class pipe_terminus {
 
   pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward);
 
-  // Processes one decrypted ingress packet.
-  void handle(packet pkt);
-
-  // Processes a whole ingress batch. Consecutive packets sharing a cache
-  // key reuse one decision-cache lookup (one recency bump per run — the
-  // cache is soft state, so batched accounting is within its contract),
-  // and the slow-path channel is drained once at the end of the batch
-  // instead of once per packet. Packets are consumed (moved from).
-  void handle_batch(std::span<packet> pkts);
-
-  // Zero-copy batch: payload spans alias ingress buffers owned by the
-  // caller, valid for the duration of the call. The fast path never copies
-  // a byte; only packets detouring to the slow path (the in-flight pending
-  // table outlives the batch) are copied into owned packets.
+  // Processes a batch of decrypted ingress packets — the terminus' one
+  // packet entry; one packet is a batch of one. Payload spans alias
+  // ingress buffers owned by the caller, valid for the duration of the
+  // call. The fast path never copies a byte; only packets detouring to the
+  // slow path (the in-flight pending table outlives the batch) are copied
+  // into owned packets. Consecutive packets sharing a cache key reuse one
+  // decision-cache lookup (one recency bump per run — the cache is soft
+  // state, so batched accounting is within its contract), and the
+  // slow-path channel is drained once at the end of the batch instead of
+  // once per packet. Headers are consumed (moved from).
   void handle_batch(std::span<packet_view> pkts);
 
   // Drains completed slow-path responses; returns how many were applied.
@@ -137,7 +133,7 @@ class pipe_terminus {
   const terminus_stats& stats() const { return stats_; }
 
   // Pushes any stats movement not yet reflected in the metric handles.
-  // handle()/handle_batch() flush on exit, but verdicts applied by a bare
+  // handle_batch() flushes on exit, but verdicts applied by a bare
   // pump() between packets (the worker loop, the control thread's poll)
   // would otherwise slip under the next flush's watermark and vanish from
   // the metrics view.
@@ -152,11 +148,6 @@ class pipe_terminus {
     trace::trace_context tc{};
     std::uint64_t trace_start_ns = 0;
   };
-
-  // Shared implementation behind the two handle_batch overloads (P is
-  // packet or packet_view; instantiated in the .cpp).
-  template <typename P>
-  void handle_batch_impl(std::span<P> pkts);
 
   void apply(const decision& d, const ilp::ilp_header& header, const_byte_span payload);
   // apply() plus sampled emit-stage timing and a ring capture.

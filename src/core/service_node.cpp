@@ -13,6 +13,16 @@ namespace interedge::core {
 namespace {
 
 constexpr std::size_t kWorkerBatch = 32;
+// Hot stacks embedded in the black-box postmortem / snapshot JSON.
+constexpr std::size_t kHotStacksTopN = 10;
+
+// The ingress pool's slabs: one for the packet on_datagram is handling on
+// the control thread plus, per shard, a full ingress ring and the batch
+// its worker has popped.
+buf::pool_config ingress_pool_config(const sn_config& cfg) {
+  const std::size_t ring_slots = spsc_ring<char>(cfg.shard_ring_depth).capacity();
+  return buf::pool_config{.slab_count = 1 + cfg.workers * (ring_slots + kWorkerBatch)};
+}
 
 inline void spin_pause() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -37,9 +47,7 @@ service_node::worker_shard::worker_shard(std::size_t idx, const sn_config& cfg,
                                          std::size_t cache_cap, const clock* clk)
     : index(idx),
       cache(cache_cap, cfg.cache_hash_seed),
-      tracer(reg, trace::tracer::config{.hop = cfg.id,
-                                        .sample_shift = cfg.trace_sample_shift,
-                                        .ring_capacity = cfg.trace_ring_capacity}),
+      tracer(reg, trace::tracer::config{.hop = cfg.id, .sample_shift = cfg.trace_sample_shift}),
       path_rec(trace::path_recorder::config{.node = cfg.id,
                                             .sample_shift = cfg.trace_sample_shift,
                                             .capacity = cfg.path_span_capacity,
@@ -65,9 +73,8 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
       scheduler_(std::move(scheduler)),
       router_(route),
       cache_(config.cache_capacity, config.cache_hash_seed),
-      tracer_(metrics_, trace::tracer::config{.hop = config.id,
-                                              .sample_shift = config.trace_sample_shift,
-                                              .ring_capacity = config.trace_ring_capacity}),
+      tracer_(metrics_,
+              trace::tracer::config{.hop = config.id, .sample_shift = config.trace_sample_shift}),
       path_rec_(trace::path_recorder::config{.node = config.id,
                                              .sample_shift = config.trace_sample_shift,
                                              .capacity = config.path_span_capacity,
@@ -76,8 +83,12 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
           config.id,
           [this](peer_id to, bytes datagram) { send_datagram_(to, std::move(datagram)); },
           [this](peer_id from, const ilp::ilp_header& header, bytes payload) {
-            terminus_->handle(packet{from, header, std::move(payload)});
-          }) {
+            // Only the sharded steer's peek-failure fallback opens one
+            // packet at a time; it reaches the terminus as a batch of one.
+            packet_view one{from, header, payload};
+            terminus_->handle_batch(std::span(&one, 1));
+          }),
+      ingress_pool_(ingress_pool_config(config)) {
   env_ = std::make_unique<exec_env>(*this);
   channel_ = std::make_unique<inline_channel>(
       [this](slowpath_request req) { return handle_slowpath(std::move(req)); });
@@ -93,8 +104,7 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   pipes_.set_metrics(metrics_);
   if (config_.blackbox_capacity > 0) {
     blackbox_ = std::make_unique<flight_recorder>(
-        flight_recorder::config{.capacity = config_.blackbox_capacity,
-                                .trigger_mask = config_.blackbox_triggers});
+        flight_recorder::config{.capacity = config_.blackbox_capacity});
   }
   // Liveness transitions become node event spans the collector correlates
   // with in-flight traces (a failover mid-trace shows up annotated, not as
@@ -142,11 +152,8 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
     schedule_liveness_tick();
   }
   if (config_.profiler_hz > 0) {
-    profiler_ = std::make_unique<prof::profiler>(
-        prof::profiler_config{.sample_hz = config_.profiler_hz,
-                              .ring_slots = config_.profiler_ring_slots,
-                              .max_stacks = config_.profiler_max_stacks,
-                              .force_timer = config_.profiler_force_timer});
+    profiler_ = std::make_unique<prof::profiler>(prof::profiler_config{
+        .sample_hz = config_.profiler_hz, .force_timer = config_.profiler_force_timer});
     // The constructing thread is the control thread (it owns the event
     // loop, the slow path and the egress drain); bind it now, arm
     // immediately — worker shards self-register as they start.
@@ -155,8 +162,8 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   }
   pipes_.set_batch_deliver([this](peer_id from, std::span<ilp::opened_packet> pkts) {
     // Zero-copy dispatch: the terminus consumes views aliasing the opened
-    // payloads (decrypt arena or ingress slab). Only slow-path detours copy
-    // into owned packets; the fast path never duplicates a payload byte.
+    // payloads inside their ingress slabs. Only slow-path detours copy into
+    // owned packets; the fast path never duplicates a payload byte.
     view_batch_scratch_.clear();
     view_batch_scratch_.reserve(pkts.size());
     for (ilp::opened_packet& p : pkts) {
@@ -186,10 +193,7 @@ service_node::~service_node() {
 
 void service_node::start_workers() {
   const std::size_t n = config_.workers;
-  const std::size_t cache_cap =
-      config_.shard_cache_capacity != 0
-          ? config_.shard_cache_capacity
-          : std::max<std::size_t>(std::size_t{64}, config_.cache_capacity / n);
+  const std::size_t cache_cap = std::max<std::size_t>(std::size_t{64}, config_.cache_capacity / n);
   // Placement (ISSUE 8): explicit worker_cpus wins; numa_aware derives an
   // assignment by striping shards across NUMA nodes (each shard then gets
   // its ring storage mbind'd onto its node below). Everything is advisory —
@@ -320,75 +324,13 @@ void service_node::push_rx_update(peer_id peer, const ilp::pipe& p) {
   }
 }
 
-void service_node::steer(std::span<std::pair<peer_id, bytes>> datagrams) {
+void service_node::steer_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
   trace::scoped_tracer st(&tracer_);
   std::size_t i = 0;
   while (i < datagrams.size()) {
     const peer_id from = datagrams[i].first;
     // Maximal same-peer run of data messages; anything else (handshakes,
     // unknown kinds, empties) flushes the run and is handled inline.
-    std::size_t j = i;
-    while (j < datagrams.size() && datagrams[j].first == from &&
-           !datagrams[j].second.empty() &&
-           static_cast<ilp::msg_kind>(datagrams[j].second[0]) == ilp::msg_kind::data) {
-      ++j;
-    }
-    if (j > i) {
-      steer_data_run(from, datagrams.subspan(i, j - i));
-      i = j;
-      continue;
-    }
-    pipes_.on_datagram(from, datagrams[i].second);
-    ++i;
-  }
-  poll();
-}
-
-void service_node::steer_data_run(peer_id from, std::span<std::pair<peer_id, bytes>> run) {
-  prof::cycle_scope sc(prof::cycle_stage::peek_steer);
-  ilp::pipe* p = pipes_.pipe_for(from);
-  if (p == nullptr) {
-    // Data before any pipe: the inline path counts and logs the drop.
-    for (auto& [peer, datagram] : run) pipes_.on_datagram(peer, datagram);
-    return;
-  }
-  span_scratch_.clear();
-  for (auto& [peer, datagram] : run) {
-    span_scratch_.emplace_back(datagram.data() + 1, datagram.size() - 1);
-  }
-  p->peek_flow_batch(span_scratch_, peek_scratch_);
-  for (std::size_t k = 0; k < run.size(); ++k) {
-    if (!peek_scratch_[k].ok) {
-      // Malformed framing or unknown SPI: the inline open makes — and
-      // counts — the reject decision, exactly as the single-threaded path
-      // would. (A tampered packet that peeks fine merely mis-steers; the
-      // shard's authenticated open still rejects it.)
-      pipes_.on_datagram(from, run[k].second);
-      continue;
-    }
-    const cache_key key{from, peek_scratch_[k].service, peek_scratch_[k].connection};
-    const std::size_t s = steerer_->shard_of(key);
-    worker_shard& sh = *shards_[s];
-    if (sh.ingress.size_approx() >= sh.ingress.capacity()) {
-      // Ring-full backpressure: drop, counted per shard, never silent.
-      m_ingress_drops_[s]->add();
-      continue;
-    }
-    shard_msg msg;
-    msg.from = from;
-    msg.datagram = std::move(run[k].second);
-    sh.ingress.try_push(std::move(msg));
-    sh.pushed.fetch_add(1, std::memory_order_release);
-    m_steered_[s]->add();
-    wake_shard(s);
-  }
-}
-
-void service_node::steer_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
-  trace::scoped_tracer st(&tracer_);
-  std::size_t i = 0;
-  while (i < datagrams.size()) {
-    const peer_id from = datagrams[i].first;
     std::size_t j = i;
     while (j < datagrams.size() && datagrams[j].first == from &&
            !datagrams[j].second.empty() &&
@@ -413,6 +355,7 @@ void service_node::steer_data_run_views(peer_id from,
   prof::cycle_scope sc(prof::cycle_stage::peek_steer);
   ilp::pipe* p = pipes_.pipe_for(from);
   if (p == nullptr) {
+    // Data before any pipe: the pipe manager counts and logs the drop.
     for (auto& [peer, view] : run) pipes_.on_datagram(peer, view.span());
     return;
   }
@@ -423,6 +366,10 @@ void service_node::steer_data_run_views(peer_id from,
   p->peek_flow_batch(span_scratch_, peek_scratch_);
   for (std::size_t k = 0; k < run.size(); ++k) {
     if (!peek_scratch_[k].ok) {
+      // Malformed framing or unknown SPI: the inline open makes — and
+      // counts — the reject decision, exactly as the single-threaded path
+      // would. (A tampered packet that peeks fine merely mis-steers; the
+      // shard's authenticated open still rejects it.)
       pipes_.on_datagram(from, run[k].second.span());
       continue;
     }
@@ -430,6 +377,7 @@ void service_node::steer_data_run_views(peer_id from,
     const std::size_t s = steerer_->shard_of(key);
     worker_shard& sh = *shards_[s];
     if (sh.ingress.size_approx() >= sh.ingress.capacity()) {
+      // Ring-full backpressure: drop, counted per shard, never silent.
       m_ingress_drops_[s]->add();
       run[k].second.reset();  // drop the slab reference now, not at batch end
       continue;
@@ -582,23 +530,14 @@ void service_node::worker_main(std::size_t shard) {
           ++i;
           continue;
         }
-        // Same-peer, same-storage run (no interleaved key update): one
-        // batched decrypt, one terminus batch. Slab-view runs decrypt in
-        // place inside the slabs and the terminus consumes packet_views
-        // aliasing them; owned-bytes runs keep the copying decrypt.
+        // Same-peer run (no interleaved key update): one batched decrypt in
+        // place inside the slabs, one terminus batch of packet_views
+        // aliasing them.
         const peer_id from = m.from;
-        const bool is_view = static_cast<bool>(m.view);
         std::size_t j = i;
-        sh.body_scratch.clear();
         sh.mut_body_scratch.clear();
-        while (j < batch.size() && batch[j].from == from && !batch[j].rx_update &&
-               static_cast<bool>(batch[j].view) == is_view) {
-          if (is_view) {
-            sh.mut_body_scratch.push_back(batch[j].view.mutable_span().subspan(1));
-          } else {
-            sh.body_scratch.emplace_back(batch[j].datagram.data() + 1,
-                                         batch[j].datagram.size() - 1);
-          }
+        while (j < batch.size() && batch[j].from == from && !batch[j].rx_update) {
+          sh.mut_body_scratch.push_back(batch[j].view.mutable_span().subspan(1));
           ++j;
         }
         const std::size_t run_len = j - i;
@@ -611,30 +550,18 @@ void service_node::worker_main(std::size_t shard) {
           continue;
         }
         const std::size_t opened =
-            is_view ? rit->second.decrypt_batch_mut(sh.mut_body_scratch, sh.opened_scratch)
-                    : rit->second.decrypt_batch(sh.body_scratch, sh.opened_scratch);
+            rit->second.decrypt_batch_mut(sh.mut_body_scratch, sh.opened_scratch);
         if (opened < run_len) {
           sh.m_rejected->add(run_len - opened);
         }
-        if (is_view) {
-          sh.view_pkt_scratch.clear();
-          for (auto& op : sh.opened_scratch) {
-            if (op) {
-              sh.view_pkt_scratch.push_back(packet_view{from, std::move(op->header), op->payload});
-            }
+        sh.view_pkt_scratch.clear();
+        for (auto& op : sh.opened_scratch) {
+          if (op) {
+            sh.view_pkt_scratch.push_back(packet_view{from, std::move(op->header), op->payload});
           }
-          if (!sh.view_pkt_scratch.empty()) {
-            sh.terminus->handle_batch(std::span<packet_view>(sh.view_pkt_scratch));
-          }
-        } else {
-          sh.pkt_scratch.clear();
-          for (auto& op : sh.opened_scratch) {
-            if (op) {
-              sh.pkt_scratch.push_back(packet{from, std::move(op->header),
-                                              bytes(op->payload.begin(), op->payload.end())});
-            }
-          }
-          if (!sh.pkt_scratch.empty()) sh.terminus->handle_batch(sh.pkt_scratch);
+        }
+        if (!sh.view_pkt_scratch.empty()) {
+          sh.terminus->handle_batch(std::span<packet_view>(sh.view_pkt_scratch));
         }
         i = j;
       }
@@ -713,41 +640,6 @@ metrics_registry& service_node::shard_metrics(std::size_t shard) { return shards
 
 // ---- ingress entry points --------------------------------------------
 
-void service_node::on_datagram(peer_id from, const_byte_span datagram) {
-  prof::scoped_cycle_set cy(&control_cycles_);
-  if (!shards_.empty()) {
-    copy_scratch_.clear();
-    copy_scratch_.emplace_back(from, bytes(datagram.begin(), datagram.end()));
-    steer(copy_scratch_);
-    return;
-  }
-  trace::scoped_tracer st(&tracer_);
-  pipes_.on_datagram(from, datagram);
-}
-
-void service_node::on_datagrams(std::span<std::pair<peer_id, bytes>> datagrams) {
-  prof::scoped_cycle_set cy(&control_cycles_);
-  if (!shards_.empty()) {
-    steer(datagrams);
-    return;
-  }
-  trace::scoped_tracer st(&tracer_);
-  // Feed maximal same-peer runs through the batched path; order across
-  // peers is preserved because runs are flushed in arrival order.
-  std::size_t i = 0;
-  while (i < datagrams.size()) {
-    const peer_id from = datagrams[i].first;
-    std::size_t j = i;
-    span_scratch_.clear();
-    while (j < datagrams.size() && datagrams[j].first == from) {
-      span_scratch_.emplace_back(datagrams[j].second.data(), datagrams[j].second.size());
-      ++j;
-    }
-    pipes_.on_datagram_batch(from, span_scratch_);
-    i = j;
-  }
-}
-
 void service_node::on_datagram_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
   prof::scoped_cycle_set cy(&control_cycles_);
   if (!shards_.empty()) {
@@ -770,6 +662,26 @@ void service_node::on_datagram_views(std::span<std::pair<peer_id, buf::pkt_view>
     pipes_.on_datagram_batch_mut(from, mut_span_scratch_);
     i = j;
   }
+}
+
+void service_node::on_datagram(peer_id from, const_byte_span datagram) {
+  if (datagram.size() > ingress_pool_.slab_size()) {
+    // Where a truncated socket read ends up too.
+    metrics_.get_counter("ilp.rx.rejected").add();
+    IE_LOG(warn) << "service_node" << kv("node", config_.id) << kv("peer", from)
+                 << kv("drop", "oversize") << kv("bytes", datagram.size());
+    return;
+  }
+  buf::slab_ref slab = ingress_pool_.try_alloc();
+  if (!slab) {
+    // Counted by the pool (exhausted); sized so that this does not happen.
+    IE_LOG(warn) << "service_node" << kv("node", config_.id) << kv("peer", from)
+                 << kv("drop", "ingress-pool-empty");
+    return;
+  }
+  std::copy(datagram.begin(), datagram.end(), slab.data());
+  std::pair<peer_id, buf::pkt_view> one{from, buf::pkt_view(std::move(slab), 0, datagram.size())};
+  on_datagram_views(std::span(&one, 1));
 }
 
 // ---- node services / stats -------------------------------------------
@@ -1205,7 +1117,7 @@ void service_node::profile_tick() {
   // lock-free: a freeze-path dump_blackbox_json (any thread) only loads
   // the shared_ptr — it never touches the profiler's aggregation mutex.
   hot_stacks_snapshot_.store(std::make_shared<const std::string>(
-                                 profiler_->hot_stacks_json(config_.profiler_top_n)),
+                                 profiler_->hot_stacks_json(kHotStacksTopN)),
                              std::memory_order_release);
   metrics_.get_gauge("sn.profile.samples").set(static_cast<std::int64_t>(profiler_->total_samples()));
   metrics_.get_gauge("sn.profile.dropped").set(static_cast<std::int64_t>(profiler_->total_dropped()));

@@ -70,7 +70,6 @@ struct sn_config {
   // Packet tracing: sample 1 in 2^trace_sample_shift packets into the
   // per-packet trace ring (stage histograms are always on; see DESIGN §8).
   std::uint32_t trace_sample_shift = 8;
-  std::size_t trace_ring_capacity = 512;
   // Cross-hop path tracing (ISSUE 5): ring slots for the per-shard path
   // span recorders. 0 disables span emission entirely (packets still carry
   // any trace context they arrived with — it is ordinary sealed metadata).
@@ -80,12 +79,10 @@ struct sn_config {
   std::size_t workers = 0;
   // Slots per shard for the ingress and egress rings. A full ingress ring
   // is backpressure: the packet is dropped and counted
-  // (sn.shard.ingress_drops{shard=k}), never silently lost.
+  // (sn.shard.ingress_drops{shard=k}), never silently lost. Each shard's
+  // decision cache holds cache_capacity / workers entries (floor 64),
+  // keeping the aggregate working set comparable to the inline cache.
   std::size_t shard_ring_depth = 1024;
-  // Per-shard decision-cache capacity; 0 derives cache_capacity / workers
-  // (floor 64), keeping the aggregate working set comparable to the
-  // single-threaded cache.
-  std::size_t shard_cache_capacity = 0;
   // Egress ring slots per shard; 0 inherits shard_ring_depth.
   std::size_t egress_ring_depth = 0;
   // High-water mark for the worker-private egress spill deque. A stalled
@@ -133,9 +130,6 @@ struct sn_config {
   // passive until events are fed to it (span drains, lifecycle events,
   // triggers), so the default costs nothing on the packet path.
   std::size_t blackbox_capacity = 1024;
-  // Which faults freeze the black box (common/flight_recorder.h bits).
-  std::uint32_t blackbox_triggers = kTrigPeerDown | kTrigFailover | kTrigShed | kTrigSloPage |
-                                    kTrigWatchdog | kTrigManual;
 
   // ---- continuous profiling plane (ISSUE 10, DESIGN.md §15) ----
   // On-CPU sampling rate in Hz per thread; 0 disables the profiler
@@ -143,12 +137,6 @@ struct sn_config {
   // the always-compiled cycle scopes' TLS checks). The prime default in
   // prof.h (97) is what deployments that arm it should use.
   std::uint32_t profiler_hz = 0;
-  // Per-thread raw-sample ring slots (a full ring is a counted drop).
-  std::size_t profiler_ring_slots = 256;
-  // Aggregated stack-table cap across all threads.
-  std::size_t profiler_max_stacks = 2048;
-  // Hot stacks embedded in the black-box postmortem / snapshot JSON.
-  std::size_t profiler_top_n = 10;
   // Skip the perf_event_open probe and use the CPU-clock timer backend
   // (deterministic backend choice for tests; see prof.h).
   bool profiler_force_timer = false;
@@ -163,25 +151,22 @@ class service_node final : public node_services {
                scheduler_fn scheduler, const router* route);
   ~service_node() override;
 
-  // Wire this to the underlying network (simulator node handler / socket).
-  void on_datagram(peer_id from, const_byte_span datagram);
-
-  // Batched ingress from mixed sources: consecutive runs from the same peer
-  // are fed through the batched path together (pipe decryption, terminus
-  // dispatch and the slow-path drain run once per run instead of once per
-  // packet), preserving arrival order. In parallel mode the datagram bytes
-  // are moved into the shard rings instead of copied.
-  void on_datagrams(std::span<std::pair<peer_id, bytes>> datagrams);
-
-  // Zero-copy ingress (ISSUE 6): datagrams arrive as refcounted slab views
-  // straight from udp_endpoint::recv_batch_views. Data messages are
-  // decrypted in place inside the slab (pipe_manager::on_datagram_batch_mut
-  // inline; decrypt_batch_mut on the shards) and the terminus consumes
+  // The SN's ingress (DESIGN.md "Read first"): datagrams arrive as
+  // refcounted slab views straight from udp_endpoint::recv_batch_views,
+  // mixed sources in arrival order. Data messages are decrypted in place
+  // inside the slab (pipe_manager::on_datagram_batch_mut inline;
+  // decrypt_batch_mut on the shards) and the terminus consumes
   // packet_views aliasing the slab — no per-packet payload copy anywhere on
   // the fast path. In parallel mode the slab reference itself rides the
   // shard ring, so the slab stays alive (and unrecycled) until the worker
   // is done with it. The views are consumed (moved from).
   void on_datagram_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams);
+
+  // One datagram from a byte buffer (simulator node handler, tests): a
+  // batch of one. The bytes are copied into a slab of the SN's own pool
+  // and fed to on_datagram_views. A datagram larger than a slab is dropped
+  // and counted in ilp.rx.rejected.
+  void on_datagram(peer_id from, const_byte_span datagram);
 
   // Parallel-mode service: dispatches pending slow-path requests on this
   // (the control) thread and drains shard egress into the pipes. Safe and
@@ -220,6 +205,8 @@ class service_node final : public node_services {
   pipe_terminus& terminus() { return *terminus_; }
   const terminus_stats& datapath_stats() const { return terminus_->stats(); }
   trace::tracer& packet_tracer() { return tracer_; }
+  // The pool behind on_datagram's copies (outstanding slabs, exhaustion).
+  const buf::buf_pool& ingress_pool() const { return ingress_pool_; }
 
   // ---- cross-hop path tracing (ISSUE 5) ----
 
@@ -394,15 +381,13 @@ class service_node final : public node_services {
 
  private:
   // One unit over a shard's ingress ring: a steered data datagram (full
-  // wire bytes, kind byte included) as either an owned copy (`datagram`) or
-  // a refcounted slab view (`view` — the zero-copy ingress path; the slab
-  // recycles when the worker drops the last reference), or a receive-key
+  // wire bytes, kind byte included) as a refcounted slab view — the slab
+  // recycles when the worker drops the last reference — or a receive-key
   // update for one peer. Updates ride the same FIFO ring as data, so a
   // replica is always installed before any packet that needs it is
   // decrypted.
   struct shard_msg {
     peer_id from = 0;
-    bytes datagram;
     buf::pkt_view view;
     std::unique_ptr<ilp::pipe_rx> rx_update;
   };
@@ -463,10 +448,8 @@ class service_node final : public node_services {
 
     // Worker-loop scratch, reused across iterations.
     std::vector<shard_msg> batch_scratch;
-    std::vector<const_byte_span> body_scratch;
-    std::vector<byte_span> mut_body_scratch;  // zero-copy runs (in-place decrypt)
+    std::vector<byte_span> mut_body_scratch;
     std::vector<std::optional<ilp::opened_packet>> opened_scratch;
-    std::vector<packet> pkt_scratch;
     std::vector<packet_view> view_pkt_scratch;
   };
 
@@ -499,8 +482,6 @@ class service_node final : public node_services {
   std::size_t worker_drain_aux(worker_shard& sh);  // bus + egress spill (backpressure-safe)
   void worker_flush_telemetry(worker_shard& sh);
   void wake_shard(std::size_t shard);
-  void steer(std::span<std::pair<peer_id, bytes>> datagrams);
-  void steer_data_run(peer_id from, std::span<std::pair<peer_id, bytes>> run);
   void steer_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams);
   void steer_data_run_views(peer_id from, std::span<std::pair<peer_id, buf::pkt_view>> run);
   void push_rx_update(peer_id peer, const ilp::pipe& p);
@@ -533,6 +514,12 @@ class service_node final : public node_services {
   std::unique_ptr<inline_channel> channel_;
   std::unique_ptr<pipe_terminus> terminus_;
   ilp::pipe_manager pipes_;
+  // Slabs for on_datagram's copy: one for the packet being handled on this
+  // thread plus, per shard, a full ingress ring and the batch its worker
+  // holds, so a full ring stays the only way steering drops a packet.
+  // Declared before shards_, whose rings may still hold views when the SN
+  // is destroyed.
+  buf::buf_pool ingress_pool_;
 
   // Multi-core datapath state (unset when config_.workers == 0; none of it
   // is touched on the inline path).
@@ -570,12 +557,10 @@ class service_node final : public node_services {
 
   // Batch-path scratch, reused across calls.
   std::vector<trace::path_span> span_drain_scratch_;
-  std::vector<packet> batch_scratch_;
   std::vector<packet_view> view_batch_scratch_;
   std::vector<const_byte_span> span_scratch_;
   std::vector<byte_span> mut_span_scratch_;
   std::vector<ilp::flow_peek> peek_scratch_;
-  std::vector<std::pair<peer_id, bytes>> copy_scratch_;
 };
 
 // Bridges a module_result into the channel response format. Shared with the

@@ -78,9 +78,9 @@ std::optional<std::pair<ilp_header, bytes>> rx_core::open(const_byte_span body,
   }
 }
 
-std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
-                                   std::vector<std::optional<opened_packet>>& out,
-                                   pipe_stats& stats) {
+std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
+                                       std::vector<std::optional<opened_packet>>& out,
+                                       pipe_stats& stats) {
   prof::cycle_scope cyc(prof::cycle_stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
@@ -93,94 +93,11 @@ std::size_t rx_core::decrypt_batch(std::span<const const_byte_span> bodies,
   if (tr) t0 = trace::now_ns();
 
   // Pass 1: parse every body, recording the sealed-header span, the
-  // payload span and the per-packet length AAD. A parse failure leaves the
-  // sealed span empty, which open_batch skips.
-  sealed_scratch_.assign(n, {});
-  payload_scratch_.assign(n, {});
-  aad_bytes_scratch_.resize(8 * n);
-  aad_scratch_.assign(n, {});
-  std::size_t arena_size = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    try {
-      reader r(bodies[i]);
-      const const_byte_span sealed = r.blob();
-      const const_byte_span payload = r.raw(r.remaining());
-      if (sealed.size() < crypto::kPspOverhead) {
-        ++stats.rejected;
-        continue;
-      }
-      length_aad(&aad_bytes_scratch_[8 * i], payload.size());
-      aad_scratch_[i] = const_byte_span(&aad_bytes_scratch_[8 * i], 8);
-      sealed_scratch_[i] = sealed;
-      payload_scratch_[i] = payload;
-      arena_size += sealed.size() - crypto::kPspOverhead;
-    } catch (const serial_error&) {
-      ++stats.rejected;
-    }
-  }
-
-  if (tr) t1 = trace::now_ns();
-
-  // Pass 2: decrypt every header in one multi-stream batch, each into its
-  // slice of the shared arena.
-  open_scratch_.resize(arena_size);
-  dst_scratch_.assign(n, {});
-  std::size_t arena_offset = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sealed_scratch_[i].empty()) continue;
-    const std::size_t len = sealed_scratch_[i].size() - crypto::kPspOverhead;
-    dst_scratch_[i] = byte_span(open_scratch_).subspan(arena_offset, len);
-    arena_offset += len;
-  }
-  if (ok_capacity_ < n) {
-    ok_scratch_ = std::make_unique<bool[]>(n);
-    ok_capacity_ = n;
-  }
-  ctx_.open_batch(sealed_scratch_, aad_scratch_, dst_scratch_,
-                  std::span<bool>(ok_scratch_.get(), n));
-  if (tr) t2 = trace::now_ns();
-
-  // Pass 3: decode the authenticated headers.
-  std::size_t opened = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sealed_scratch_[i].empty()) continue;  // already counted rejected
-    if (!ok_scratch_[i]) {
-      ++stats.rejected;
-      continue;
-    }
-    try {
-      out[i] = opened_packet{ilp_header::decode(dst_scratch_[i]), payload_scratch_[i]};
-      ++stats.opened;
-      ++opened;
-    } catch (const serial_error&) {
-      ++stats.rejected;
-    }
-  }
-  if (tr) {
-    const std::uint64_t t3 = trace::now_ns();
-    // Parse = wire parse (pass 1) + header decode (pass 3).
-    tr->record_stage(trace::stage::parse, (t1 - t0) + (t3 - t2));
-    tr->record_stage(trace::stage::decrypt, t2 - t1);
-  }
-  return opened;
-}
-
-std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
-                                       std::vector<std::optional<opened_packet>>& out,
-                                       pipe_stats& stats) {
-  prof::cycle_scope cyc(prof::cycle_stage::decrypt);
-  const std::size_t n = bodies.size();
-  out.clear();
-  out.resize(n);
-
-  trace::tracer* tr = trace::current();
-  std::uint64_t t0 = 0, t1 = 0, t2 = 0;
-  if (tr) t0 = trace::now_ns();
-
-  // Pass 1: parse framing. Identical to decrypt_batch, except the decrypt
-  // destination is computed inside the body itself: the plaintext header
-  // (sealed_len - kPspOverhead bytes) lands over its own ciphertext, which
-  // starts 12 bytes (spi + iv) into the sealed region. No arena.
+  // payload span, the per-packet length AAD and the decrypt destination:
+  // the plaintext header (sealed_len - kPspOverhead bytes) lands over its
+  // own ciphertext, which starts 12 bytes (spi + iv) into the sealed
+  // region. A parse failure leaves the sealed span empty, which open_batch
+  // skips.
   sealed_scratch_.assign(n, {});
   payload_scratch_.assign(n, {});
   aad_bytes_scratch_.resize(8 * n);
@@ -239,6 +156,7 @@ std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
   }
   if (tr) {
     const std::uint64_t t3 = trace::now_ns();
+    // Parse = wire parse (pass 1) + header decode (pass 3).
     tr->record_stage(trace::stage::parse, (t1 - t0) + (t3 - t2));
     tr->record_stage(trace::stage::decrypt, t2 - t1);
   }
@@ -302,11 +220,6 @@ bytes pipe::seal(const ilp_header& header, const_byte_span payload) {
 
 std::optional<std::pair<ilp_header, bytes>> pipe::open(const_byte_span body) {
   return rx_.open(body, stats_);
-}
-
-std::size_t pipe::decrypt_batch(std::span<const const_byte_span> bodies,
-                                std::vector<std::optional<opened_packet>>& out) {
-  return rx_.decrypt_batch(bodies, out, stats_);
 }
 
 std::size_t pipe::decrypt_batch_mut(std::span<const byte_span> bodies,

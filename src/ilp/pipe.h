@@ -70,13 +70,12 @@ class rx_core {
   explicit rx_core(crypto::psp_context ctx) : ctx_(std::move(ctx)) {}
 
   std::optional<std::pair<ilp_header, bytes>> open(const_byte_span body, pipe_stats& stats);
-  std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
-                            std::vector<std::optional<opened_packet>>& out, pipe_stats& stats);
-  // In-place variant for the zero-copy path: bodies are MUTABLE buffers
-  // (pool slabs) and each authenticated header is decrypted over its own
-  // ciphertext inside the buffer — no plaintext arena, no allocation.
-  // out[i]'s payload span aliases the body; the body's sealed region is
-  // destroyed (overwritten with plaintext) for every packet that passed
+  // Batch open over MUTABLE buffers (pool slabs): each authenticated
+  // header is decrypted over its own ciphertext inside the buffer — no
+  // plaintext arena, no allocation. `out` is resized to bodies.size();
+  // out[i] is nullopt where authentication or parsing failed, and its
+  // payload span aliases the body. The body's sealed region is destroyed
+  // (overwritten with plaintext) for every packet that passed
   // authentication, so a body cannot be re-opened. Safe because psp's
   // open verifies the tag before any byte is written (see psp.h).
   std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
@@ -87,8 +86,8 @@ class rx_core {
 
  private:
   crypto::psp_context ctx_;
-  bytes open_scratch_;  // decrypted-header arena, reused across opens
-  // decrypt_batch scratch, reused across calls.
+  bytes open_scratch_;  // decrypted header, reused across opens
+  // decrypt_batch_mut scratch, reused across calls.
   std::vector<const_byte_span> sealed_scratch_;
   std::vector<const_byte_span> payload_scratch_;
   std::vector<const_byte_span> aad_scratch_;
@@ -110,13 +109,8 @@ class pipe_rx {
  public:
   explicit pipe_rx(crypto::psp_context rx) : core_(std::move(rx)) {}
 
-  // Batch ingress: semantics of pipe::decrypt_batch.
-  std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
-                            std::vector<std::optional<opened_packet>>& out) {
-    return core_.decrypt_batch(bodies, out, stats_);
-  }
-  // Zero-copy ingress: decrypts headers in place inside the (mutable)
-  // bodies — see rx_core::decrypt_batch_mut.
+  // Batch ingress: decrypts headers in place inside the (mutable) bodies
+  // — see rx_core::decrypt_batch_mut.
   std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
                                 std::vector<std::optional<opened_packet>>& out) {
     return core_.decrypt_batch_mut(bodies, out, stats_);
@@ -154,17 +148,10 @@ class pipe {
   // nullopt if the header fails to authenticate or the message is malformed.
   std::optional<std::pair<ilp_header, bytes>> open(const_byte_span body);
 
-  // Batch ingress: opens every data-message body in one call, reusing one
-  // scratch buffer for the decrypted headers. `out` is resized to
-  // bodies.size(); out[i] is nullopt where authentication or parsing
-  // failed, and payload spans alias the caller's buffers. Returns the
-  // number of packets opened.
-  std::size_t decrypt_batch(std::span<const const_byte_span> bodies,
-                            std::vector<std::optional<opened_packet>>& out);
-
-  // In-place batch ingress over mutable buffers (pool slabs): plaintext
-  // headers overwrite their ciphertext, payload spans alias the bodies,
-  // nothing is copied. See detail::rx_core::decrypt_batch_mut.
+  // Batch ingress over mutable buffers (pool slabs): opens every
+  // data-message body in one call. Plaintext headers overwrite their
+  // ciphertext, payload spans alias the bodies, nothing is copied. Returns
+  // the number of packets opened. See detail::rx_core::decrypt_batch_mut.
   std::size_t decrypt_batch_mut(std::span<const byte_span> bodies,
                                 std::vector<std::optional<opened_packet>>& out);
 

@@ -79,10 +79,6 @@ void pipe_manager::send_span(peer_id peer, const ilp_header& header, const_byte_
       return;
     }
     it->second->seal_into(header, payload, seal_scratch_);
-    if (send_raw_) {
-      send_raw_(peer, seal_scratch_);
-      return;
-    }
     send_(peer, seal_scratch_);  // no zero-copy hook: compat copy
     return;
   }
@@ -97,7 +93,10 @@ void pipe_manager::send_span(peer_id peer, const ilp_header& header, const_byte_
 }
 
 void pipe_manager::on_datagram(peer_id peer, const_byte_span datagram) {
-  if (datagram.empty()) return;
+  if (datagram.empty()) {
+    reject(peer, "empty");
+    return;
+  }
   const auto kind = static_cast<msg_kind>(datagram[0]);
   const const_byte_span body = datagram.subspan(1);
   switch (kind) {
@@ -117,8 +116,14 @@ void pipe_manager::on_datagram(peer_id peer, const_byte_span datagram) {
       handle_keepalive_ack(peer, body);
       break;
     default:
-      IE_LOG(warn) << "pipe_manager " << self_ << ": unknown message kind from " << peer;
+      reject(peer, "unknown-kind");
   }
+}
+
+void pipe_manager::reject(peer_id peer, const char* why, std::size_t n) {
+  if (rejected_pkts_) rejected_pkts_->add(n);
+  IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer) << kv("drop", why)
+               << kv("pkts", n);
 }
 
 void pipe_manager::handle_init(peer_id peer, const_byte_span body) {
@@ -164,7 +169,7 @@ void pipe_manager::handle_init(peer_id peer, const_byte_span body) {
     establish(peer, keypair.secret, remote_pub, local_spi, remote_spi, /*initiator=*/false,
               std::move(queued));
   } catch (const serial_error&) {
-    IE_LOG(warn) << "pipe_manager " << self_ << ": malformed handshake init from " << peer;
+    reject(peer, "malformed-handshake-init");
   }
 }
 
@@ -183,7 +188,7 @@ void pipe_manager::handle_resp(peer_id peer, const_byte_span body) {
     establish(peer, state.keypair.secret, remote_pub, state.local_spi, remote_spi,
               /*initiator=*/true, std::move(state.queued));
   } catch (const serial_error&) {
-    IE_LOG(warn) << "pipe_manager " << self_ << ": malformed handshake resp from " << peer;
+    reject(peer, "malformed-handshake-resp");
   }
 }
 
@@ -224,37 +229,9 @@ void pipe_manager::establish(peer_id peer, const crypto::x25519_key& secret_scal
   }
 }
 
-void pipe_manager::on_datagram_batch(peer_id peer, std::span<const const_byte_span> datagrams) {
-  // Without a batch deliver path there is nothing to amortize — reuse the
-  // single-datagram path for simplicity.
-  if (!deliver_batch_) {
-    for (const const_byte_span& d : datagrams) on_datagram(peer, d);
-    return;
-  }
-  run_scratch_.clear();
-  auto flush = [&] {
-    if (!run_scratch_.empty()) {
-      flush_data_run(peer, run_scratch_);
-      run_scratch_.clear();
-    }
-  };
-  for (const const_byte_span& datagram : datagrams) {
-    if (datagram.empty()) continue;
-    if (static_cast<msg_kind>(datagram[0]) == msg_kind::data) {
-      run_scratch_.push_back(datagram.subspan(1));
-      continue;
-    }
-    // Handshake (or unknown) message: preserve arrival order relative to
-    // the data packets around it, then handle inline.
-    flush();
-    on_datagram(peer, datagram);
-  }
-  flush();
-}
-
 void pipe_manager::on_datagram_batch_mut(peer_id peer, std::span<const byte_span> datagrams) {
-  // Same run-splitting as on_datagram_batch, but data runs decrypt in
-  // place inside the caller's (mutable) buffers.
+  // Without a batch deliver path there is nothing to amortize — reuse the
+  // single-datagram path.
   if (!deliver_batch_) {
     for (const byte_span& d : datagrams) on_datagram(peer, d);
     return;
@@ -267,29 +244,20 @@ void pipe_manager::on_datagram_batch_mut(peer_id peer, std::span<const byte_span
     }
   };
   for (const byte_span& datagram : datagrams) {
-    if (datagram.empty()) continue;
-    if (static_cast<msg_kind>(datagram[0]) == msg_kind::data) {
+    if (!datagram.empty() && static_cast<msg_kind>(datagram[0]) == msg_kind::data) {
       run_mut_scratch_.push_back(datagram.subspan(1));
       continue;
     }
+    // Handshake, keepalive or refused datagram: preserve arrival order
+    // relative to the data packets around it, then handle inline.
     flush();
     on_datagram(peer, datagram);
   }
   flush();
 }
 
-void pipe_manager::flush_data_run(peer_id peer, std::span<const const_byte_span> bodies) {
-  auto it = pipes_.find(peer);
-  if (it == pipes_.end()) {
-    if (no_pipe_drops_) no_pipe_drops_->add(bodies.size());
-    IE_LOG(debug) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
-                  << kv("drop", "data-before-pipe") << kv("pkts", bodies.size());
-    return;
-  }
-  const std::size_t opened = it->second->decrypt_batch(bodies, opened_scratch_);
-  deliver_opened_batch(peer, opened == bodies.size() ? 0 : bodies.size() - opened);
-}
-
+// Decrypts one data run in place, counts its rejects and hands the opened
+// packets to the batch deliverer.
 void pipe_manager::flush_data_run_mut(peer_id peer, std::span<const byte_span> bodies) {
   auto it = pipes_.find(peer);
   if (it == pipes_.end()) {
@@ -299,20 +267,10 @@ void pipe_manager::flush_data_run_mut(peer_id peer, std::span<const byte_span> b
     return;
   }
   const std::size_t opened = it->second->decrypt_batch_mut(bodies, opened_scratch_);
-  deliver_opened_batch(peer, opened == bodies.size() ? 0 : bodies.size() - opened);
-}
-
-// Common tail of the two flush paths: count rejects, compact the opened
-// packets out of opened_scratch_ and hand them to the batch deliverer.
-void pipe_manager::deliver_opened_batch(peer_id peer, std::size_t rejected) {
-  if (rejected > 0) {
-    if (rejected_pkts_) rejected_pkts_->add(rejected);
-    IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
-                 << kv("drop", "auth-reject") << kv("pkts", rejected);
-  }
+  if (opened < bodies.size()) reject(peer, "auth-reject", bodies.size() - opened);
   batch_scratch_.clear();
-  for (auto& opened : opened_scratch_) {
-    if (opened) batch_scratch_.push_back(std::move(*opened));
+  for (auto& o : opened_scratch_) {
+    if (o) batch_scratch_.push_back(std::move(*o));
   }
   if (!batch_scratch_.empty()) {
     note_peer_alive(peer);  // authenticated traffic counts as liveness
@@ -330,9 +288,7 @@ void pipe_manager::handle_data(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    if (rejected_pkts_) rejected_pkts_->add();
-    IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
-                 << kv("drop", "auth-reject");
+    reject(peer, "auth-reject");
     return;
   }
   note_peer_alive(peer);  // authenticated traffic counts as liveness
@@ -389,9 +345,7 @@ void pipe_manager::handle_keepalive(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    if (rejected_pkts_) rejected_pkts_->add();
-    IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
-                 << kv("drop", "keepalive-auth-reject");
+    reject(peer, "keepalive-auth-reject");
     return;
   }
   note_peer_alive(peer);
@@ -410,9 +364,7 @@ void pipe_manager::handle_keepalive_ack(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    if (rejected_pkts_) rejected_pkts_->add();
-    IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
-                 << kv("drop", "keepalive-ack-auth-reject");
+    reject(peer, "keepalive-ack-auth-reject");
     return;
   }
   note_peer_alive(peer);

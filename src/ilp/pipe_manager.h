@@ -60,17 +60,14 @@ class pipe_manager {
   using deliver_fn = std::function<void(peer_id peer, const ilp_header&, bytes payload)>;
   // Batch delivery: every data packet of one ingress batch in one call.
   // Packets are mutable so the receiver can move the headers out; payload
-  // spans alias the datagram buffers passed to on_datagram_batch.
+  // spans alias the datagram buffers passed to on_datagram_batch_mut.
   using deliver_batch_fn = std::function<void(peer_id peer, std::span<opened_packet> packets)>;
 
-  // Zero-copy egress hooks (optional). send_raw passes the sealed datagram
-  // as a span into the manager's reused seal scratch — valid only for the
-  // duration of the call (a socket send copies into the kernel before
-  // returning, so udp_endpoint::send qualifies). send_gather goes further:
-  // the sealed message head and the payload stay separate buffers, to be
-  // glued by scatter-gather I/O (udp_endpoint::send_gather). Resolution
-  // order in send_span: gather, then raw, then the owning send_fn.
-  using send_raw_fn = std::function<void(peer_id peer, const_byte_span datagram)>;
+  // Zero-copy egress hook (optional): the sealed message head and the
+  // payload stay separate buffers, to be glued by scatter-gather I/O
+  // (udp_endpoint::send_gather). Both spans are valid only for the
+  // duration of the call. Without it, send_span falls back to the owning
+  // send_fn.
   using send_gather_fn =
       std::function<void(peer_id peer, const_byte_span head, const_byte_span payload)>;
 
@@ -81,32 +78,30 @@ class pipe_manager {
   void send(peer_id peer, const ilp_header& header, bytes payload);
 
   // Zero-copy send: seals into reused scratch and hands the result to the
-  // gather/raw hook (falling back to an owned copy through send_fn when
-  // neither is set). The payload is only read during the call. Queues an
-  // owned copy behind a pending handshake — the cold path still copies.
+  // gather hook (falling back to an owned copy through send_fn when it is
+  // not set). The payload is only read during the call. Queues an owned
+  // copy behind a pending handshake — the cold path still copies.
   void send_span(peer_id peer, const ilp_header& header, const_byte_span payload);
 
-  void set_send_raw(send_raw_fn f) { send_raw_ = std::move(f); }
   void set_send_gather(send_gather_fn f) { send_gather_ = std::move(f); }
 
-  // Feeds a received datagram (handshake or data) into the manager.
+  // Feeds a received datagram (handshake or data) into the manager. Every
+  // datagram it refuses — empty, an unknown kind, a malformed handshake,
+  // data that fails to open — is counted in ilp.rx.rejected (data from a
+  // peer without a pipe in ilp.rx.no_pipe) and logged.
   void on_datagram(peer_id peer, const_byte_span datagram);
 
-  // Batch ingress: feeds a burst of datagrams from one peer. Runs of data
-  // messages are decrypted via pipe::decrypt_batch and handed to the batch
-  // deliver callback in one call (falling back to per-packet deliver when
-  // none is set); handshake messages are handled inline in arrival order.
-  void on_datagram_batch(peer_id peer, std::span<const const_byte_span> datagrams);
-
-  // Zero-copy batch ingress over MUTABLE datagram buffers (pool slabs):
-  // data runs are decrypted in place via pipe::decrypt_batch_mut — the
+  // Batch ingress over MUTABLE datagram buffers (pool slabs): a burst from
+  // one peer. Runs of data messages are decrypted in place via
+  // pipe::decrypt_batch_mut and handed to the batch deliver callback in
+  // one call (falling back to per-packet deliver when none is set) — the
   // delivered packets' headers were decrypted over their own ciphertext
   // and payload spans alias the slabs, which must stay live (and unmoved)
-  // until the deliver callback returns. Handshake messages are handled
-  // inline in arrival order, exactly like on_datagram_batch.
+  // until the callback returns. Every other datagram goes through
+  // on_datagram inline, in arrival order.
   void on_datagram_batch_mut(peer_id peer, std::span<const byte_span> datagrams);
 
-  // Installs the batch delivery path used by on_datagram_batch.
+  // Installs the batch delivery path used by on_datagram_batch_mut.
   void set_batch_deliver(deliver_batch_fn deliver_batch) {
     deliver_batch_ = std::move(deliver_batch);
   }
@@ -195,9 +190,9 @@ class pipe_manager {
   };
 
   void start_handshake(peer_id peer);
-  void flush_data_run(peer_id peer, std::span<const const_byte_span> bodies);
   void flush_data_run_mut(peer_id peer, std::span<const byte_span> bodies);
-  void deliver_opened_batch(peer_id peer, std::size_t rejected);
+  // Counts `n` refused datagrams in ilp.rx.rejected and logs why.
+  void reject(peer_id peer, const char* why, std::size_t n = 1);
   void handle_init(peer_id peer, const_byte_span body);
   void handle_resp(peer_id peer, const_byte_span body);
   void handle_data(peer_id peer, const_byte_span body);
@@ -215,7 +210,6 @@ class pipe_manager {
 
   peer_id self_;
   send_fn send_;
-  send_raw_fn send_raw_;
   send_gather_fn send_gather_;
   deliver_fn deliver_;
   deliver_batch_fn deliver_batch_;
@@ -231,8 +225,7 @@ class pipe_manager {
   liveness_config liveness_cfg_;
   std::optional<rng> jitter_rng_;
   std::map<peer_id, liveness_state> liveness_;
-  // Batch-path scratch, reused across on_datagram_batch calls.
-  std::vector<const_byte_span> run_scratch_;
+  // Batch-path scratch, reused across on_datagram_batch_mut calls.
   std::vector<byte_span> run_mut_scratch_;
   std::vector<std::optional<opened_packet>> opened_scratch_;
   std::vector<opened_packet> batch_scratch_;

@@ -47,7 +47,9 @@ constexpr std::size_t kCountedRounds = 16;  // 16 x 256 = 4096 packets
 // fed again every round.
 class sn_rig {
  public:
-  explicit sn_rig(std::size_t workers) {
+  // `byte_entry` feeds the datagrams through service_node::on_datagram, one
+  // call per packet, instead of batches of slab views.
+  sn_rig(std::size_t workers, bool byte_entry) : byte_entry_(byte_entry) {
     sn_config cfg;
     cfg.id = kSn;
     cfg.edomain = 1;
@@ -99,6 +101,15 @@ class sn_rig {
   void round() {
     const bool sharded = sn_->worker_count() > 0;
     for (std::size_t c = 0; c < wires_.size(); ++c) {
+      if (byte_entry_) {
+        if (sharded && c % kBatch == 0) sn_->inject_worker_stall(0, true);
+        sn_->on_datagram(kSender, wires_[c]);
+        if (sharded && (c % kBatch == kBatch - 1 || c + 1 == wires_.size())) {
+          sn_->inject_worker_stall(0, false);
+          ASSERT_TRUE(sn_->wait_idle(std::chrono::seconds(10)));
+        }
+        continue;
+      }
       buf::slab_ref slab = slabs_.try_alloc();
       ASSERT_TRUE(slab);
       std::memcpy(slab.data(), wires_[c].data(), wires_[c].size());
@@ -144,6 +155,7 @@ class sn_rig {
     }
   }
 
+  bool byte_entry_;
   manual_clock clk_;
   testing::identity_router route_;
   std::vector<std::pair<peer_id, bytes>> to_sn_;
@@ -191,7 +203,7 @@ budget measure(sn_rig& rig) {
 }
 
 TEST(AllocBudget, InlineSnForwardsWithoutAllocating) {
-  sn_rig rig(0);
+  sn_rig rig(0, /*byte_entry=*/false);
   ASSERT_TRUE(rig.ready());
   ASSERT_EQ(rig.wires(), kConnections);
   const budget b = measure(rig);
@@ -202,7 +214,31 @@ TEST(AllocBudget, InlineSnForwardsWithoutAllocating) {
 }
 
 TEST(AllocBudget, ShardedSnAllocatesOnlyTheEgressCopy) {
-  sn_rig rig(1);
+  sn_rig rig(1, /*byte_entry=*/false);
+  ASSERT_TRUE(rig.ready());
+  ASSERT_EQ(rig.wires(), kConnections);
+  const budget b = measure(rig);
+  ASSERT_EQ(b.packets, 4096u);
+  EXPECT_EQ(b.forwarded, b.packets);
+  EXPECT_EQ(b.fast_path, b.packets);
+  EXPECT_LE(b.allocs, b.packets) << "heap allocations over " << b.packets << " packets";
+}
+
+// The byte entry copies each datagram into a slab of the SN's own pool
+// and takes the same path as a batch of one slab view.
+TEST(AllocBudget, InlineByteEntryForwardsWithoutAllocating) {
+  sn_rig rig(0, /*byte_entry=*/true);
+  ASSERT_TRUE(rig.ready());
+  ASSERT_EQ(rig.wires(), kConnections);
+  const budget b = measure(rig);
+  ASSERT_EQ(b.packets, 4096u);
+  EXPECT_EQ(b.forwarded, b.packets);
+  EXPECT_EQ(b.fast_path, b.packets);
+  EXPECT_EQ(b.allocs, 0u) << "heap allocations over " << b.packets << " packets";
+}
+
+TEST(AllocBudget, ShardedByteEntryAllocatesOnlyTheEgressCopy) {
+  sn_rig rig(1, /*byte_entry=*/true);
   ASSERT_TRUE(rig.ready());
   ASSERT_EQ(rig.wires(), kConnections);
   const budget b = measure(rig);

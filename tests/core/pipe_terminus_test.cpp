@@ -2,8 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace interedge::core {
 namespace {
+
+// Hands owned packets to the terminus as one batch of packet_views over
+// their payloads; the packets outlive the call.
+void handle_batch(pipe_terminus& t, std::span<packet> pkts) {
+  std::vector<packet_view> views;
+  for (packet& p : pkts) views.push_back(packet_view{p.l3_src, p.header, p.payload});
+  t.handle_batch(std::span<packet_view>(views));
+}
+
+// One packet is a batch of one.
+void handle(pipe_terminus& t, packet p) { handle_batch(t, std::span(&p, 1)); }
 
 struct forwarded_packet {
   peer_id to;
@@ -50,11 +64,11 @@ class terminus_fixture : public ::testing::Test {
 };
 
 TEST_F(terminus_fixture, FirstPacketSlowPathSecondFastPath) {
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   EXPECT_EQ(terminus_.stats().slow_path, 1u);
   EXPECT_EQ(terminus_.stats().fast_path, 0u);
 
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   EXPECT_EQ(terminus_.stats().slow_path, 1u);
   EXPECT_EQ(terminus_.stats().fast_path, 1u);
 
@@ -64,15 +78,15 @@ TEST_F(terminus_fixture, FirstPacketSlowPathSecondFastPath) {
 }
 
 TEST_F(terminus_fixture, PayloadForwardedByteIdentical) {
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   ASSERT_EQ(forwarded_.size(), 1u);
   EXPECT_EQ(forwarded_[0].payload, to_bytes("payload"));
   EXPECT_EQ(forwarded_[0].header.connection, 1u);
 }
 
 TEST_F(terminus_fixture, ControlPacketsAlwaysSlowPath) {
-  terminus_.handle(make_packet(1));
-  terminus_.handle(make_packet(1, ilp::kFlagControl));  // would hit cache otherwise
+  handle(terminus_, make_packet(1));
+  handle(terminus_, make_packet(1, ilp::kFlagControl));  // would hit cache otherwise
   EXPECT_EQ(terminus_.stats().slow_path, 2u);
 }
 
@@ -83,7 +97,7 @@ TEST_F(terminus_fixture, DropVerdictCounted) {
     resp.verdict = decision::drop_packet();
     return resp;
   };
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   EXPECT_EQ(terminus_.stats().dropped, 1u);
   EXPECT_TRUE(forwarded_.empty());
 }
@@ -95,7 +109,7 @@ TEST_F(terminus_fixture, DeliverVerdictCounted) {
     resp.verdict = decision::deliver();
     return resp;
   };
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   EXPECT_EQ(terminus_.stats().delivered, 1u);
 }
 
@@ -108,7 +122,7 @@ TEST_F(terminus_fixture, MultiDestinationForwardsCopies) {
     resp.verdict = decision::forward_all({10, 11, 12});
     return resp;
   };
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   ASSERT_EQ(forwarded_.size(), 3u);
   EXPECT_EQ(forwarded_[0].to, 10u);
   EXPECT_EQ(forwarded_[2].to, 12u);
@@ -127,15 +141,15 @@ TEST_F(terminus_fixture, ServiceSendsEmittedBeforeVerdict) {
     resp.sends.push_back(std::move(o));
     return resp;
   };
-  terminus_.handle(make_packet());
+  handle(terminus_, make_packet());
   ASSERT_EQ(forwarded_.size(), 1u);
   EXPECT_EQ(forwarded_[0].to, 99u);
   EXPECT_EQ(forwarded_[0].payload, to_bytes("control-reply"));
 }
 
 TEST_F(terminus_fixture, DifferentConnectionsDifferentCacheEntries) {
-  terminus_.handle(make_packet(1));
-  terminus_.handle(make_packet(2));
+  handle(terminus_, make_packet(1));
+  handle(terminus_, make_packet(2));
   EXPECT_EQ(terminus_.stats().slow_path, 2u);
   EXPECT_EQ(cache_.size(), 2u);
 }
@@ -143,25 +157,25 @@ TEST_F(terminus_fixture, DifferentConnectionsDifferentCacheEntries) {
 TEST_F(terminus_fixture, EvictedEntryFallsBackToSlowPath) {
   // Fill the cache far past capacity; earlier connections get evicted and
   // their packets must take the slow path again — correctness preserved.
-  for (ilp::connection_id c = 0; c < 100; ++c) terminus_.handle(make_packet(c));
+  for (ilp::connection_id c = 0; c < 100; ++c) handle(terminus_, make_packet(c));
   const auto slow_before = terminus_.stats().slow_path;
-  terminus_.handle(make_packet(0));  // long evicted
+  handle(terminus_, make_packet(0));  // long evicted
   EXPECT_EQ(terminus_.stats().slow_path, slow_before + 1);
   ASSERT_EQ(forwarded_.size(), 101u);  // every packet still forwarded
 }
 
 TEST_F(terminus_fixture, StatsReceivedCountsAll) {
-  for (int i = 0; i < 5; ++i) terminus_.handle(make_packet());
+  for (int i = 0; i < 5; ++i) handle(terminus_, make_packet());
   EXPECT_EQ(terminus_.stats().received, 5u);
 }
 
 TEST_F(terminus_fixture, BatchSameFlowPaysOneCacheLookup) {
-  terminus_.handle(make_packet());  // install the cache entry
+  handle(terminus_, make_packet());  // install the cache entry
   const auto hits_before = cache_.stats().hits;
 
   std::vector<packet> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(make_packet());
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
 
   // One lookup for the run; the other 7 packets ride the memo.
   EXPECT_EQ(cache_.stats().hits, hits_before + 1);
@@ -174,50 +188,50 @@ TEST_F(terminus_fixture, BatchColdFlowStillResolvedViaSlowPath) {
   // the burst goes to the service module — and every one is still forwarded.
   std::vector<packet> batch;
   for (int i = 0; i < 4; ++i) batch.push_back(make_packet());
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
   EXPECT_EQ(terminus_.stats().slow_path, 4u);
   EXPECT_EQ(forwarded_.size(), 4u);
   // The drain installed the decision: the next batch is pure fast path.
   std::vector<packet> batch2;
   for (int i = 0; i < 4; ++i) batch2.push_back(make_packet());
-  terminus_.handle_batch(batch2);
+  handle_batch(terminus_, batch2);
   EXPECT_EQ(terminus_.stats().slow_path, 4u);
   EXPECT_EQ(terminus_.stats().fast_path, 4u);
 }
 
 TEST_F(terminus_fixture, BatchMixedWarmFlowsAllFastPath) {
-  terminus_.handle(make_packet(1));
-  terminus_.handle(make_packet(2));
+  handle(terminus_, make_packet(1));
+  handle(terminus_, make_packet(2));
   std::vector<packet> batch;
   for (int i = 0; i < 6; ++i) {
     batch.push_back(make_packet(static_cast<ilp::connection_id>(1 + i % 2)));
   }
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
   EXPECT_EQ(terminus_.stats().fast_path, 6u);
   EXPECT_EQ(forwarded_.size(), 2u + 6u);
 }
 
 TEST_F(terminus_fixture, BatchControlPacketsBypassMemo) {
-  terminus_.handle(make_packet(1));  // warm the flow
+  handle(terminus_, make_packet(1));  // warm the flow
   std::vector<packet> batch;
   batch.push_back(make_packet(1));                      // cache hit, memo set
   batch.push_back(make_packet(1));                      // memo hit
   batch.push_back(make_packet(1, ilp::kFlagControl));   // must not use memo
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
   EXPECT_EQ(terminus_.stats().slow_path, 2u);  // initial cold packet + control
   EXPECT_EQ(terminus_.stats().fast_path, 2u);
 }
 
 TEST_F(terminus_fixture, BatchMatchesPerPacketBehavior) {
   // The batched path must produce the same forwards in the same order as
-  // handling each packet individually.
+  // handling each packet as a batch of one.
   std::vector<packet> batch;
   for (int i = 0; i < 5; ++i) batch.push_back(make_packet(static_cast<ilp::connection_id>(i)));
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
   const auto batched = forwarded_;
   forwarded_.clear();
 
-  for (int i = 0; i < 5; ++i) terminus_.handle(make_packet(static_cast<ilp::connection_id>(i)));
+  for (int i = 0; i < 5; ++i) handle(terminus_, make_packet(static_cast<ilp::connection_id>(i)));
   ASSERT_EQ(forwarded_.size(), batched.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(forwarded_[i].to, batched[i].to);
@@ -278,7 +292,7 @@ class shed_fixture : public ::testing::Test {
 TEST_F(shed_fixture, ShedsPastHighWaterInsteadOfBlocking) {
   terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 4, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
-  for (ilp::connection_id c = 0; c < 10; ++c) terminus_.handle(make_packet(c));
+  for (ilp::connection_id c = 0; c < 10; ++c) handle(terminus_, make_packet(c));
   // 4 in flight; the other 6 shed to the default (drop) verdict.
   EXPECT_EQ(terminus_.in_flight(), 4u);
   EXPECT_EQ(terminus_.stats().shed, 6u);
@@ -289,16 +303,16 @@ TEST_F(shed_fixture, ShedsPastHighWaterInsteadOfBlocking) {
 TEST_F(shed_fixture, ShedVerdictIsTemporaryCacheEntry) {
   terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
-  terminus_.handle(make_packet(1));  // occupies the slow path
-  terminus_.handle(make_packet(2));  // shed, installs TTL'd drop
-  terminus_.handle(make_packet(2));  // fast-path hit on the shed entry
+  handle(terminus_, make_packet(1));  // occupies the slow path
+  handle(terminus_, make_packet(2));  // shed, installs TTL'd drop
+  handle(terminus_, make_packet(2));  // fast-path hit on the shed entry
   EXPECT_EQ(terminus_.stats().shed, 1u);
   EXPECT_EQ(terminus_.stats().fast_path, 1u);
 
   // After the TTL the flow returns to the slow path (which has recovered
   // here only in the sense that the entry is gone — it sheds again).
   clk_.advance(60ms);
-  terminus_.handle(make_packet(2));
+  handle(terminus_, make_packet(2));
   EXPECT_EQ(terminus_.stats().shed, 2u);
 }
 
@@ -306,8 +320,8 @@ TEST_F(shed_fixture, ShedVerdictPerServicePolicyCanPass) {
   terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
   cache_.set_clock(&clk_);
   terminus_.set_shed_verdict(ilp::svc::delivery, decision::forward_to(50));
-  terminus_.handle(make_packet(1));  // in flight
-  terminus_.handle(make_packet(2));  // shed — but delivery sheds to pass
+  handle(terminus_, make_packet(1));  // in flight
+  handle(terminus_, make_packet(2));  // shed — but delivery sheds to pass
   EXPECT_EQ(terminus_.stats().shed, 1u);
   EXPECT_EQ(forwards_, 1);
   EXPECT_EQ(terminus_.stats().dropped, 0u);
@@ -315,8 +329,8 @@ TEST_F(shed_fixture, ShedVerdictPerServicePolicyCanPass) {
 
 TEST_F(shed_fixture, ControlPacketsNeverShed) {
   terminus_.set_slowpath_policy({.clk = &clk_, .high_water = 1, .shed_ttl = 50ms});
-  terminus_.handle(make_packet(1));
-  terminus_.handle(make_packet(2, ilp::kFlagControl));
+  handle(terminus_, make_packet(1));
+  handle(terminus_, make_packet(2, ilp::kFlagControl));
   EXPECT_EQ(terminus_.stats().shed, 0u);
   EXPECT_EQ(channel_.accepted.size(), 2u);
 }
@@ -327,7 +341,7 @@ TEST_F(shed_fixture, BatchShedsAndMemoAbsorbsBurst) {
   std::vector<packet> batch;
   batch.push_back(make_packet(1));                       // takes the slow-path slot
   for (int i = 0; i < 5; ++i) batch.push_back(make_packet(2));  // one shed + memo hits
-  terminus_.handle_batch(batch);
+  handle_batch(terminus_, batch);
   EXPECT_EQ(terminus_.stats().shed, 1u);
   EXPECT_EQ(terminus_.stats().fast_path, 4u);  // rest of the burst rides the memo
 }
@@ -335,14 +349,14 @@ TEST_F(shed_fixture, BatchShedsAndMemoAbsorbsBurst) {
 TEST_F(shed_fixture, DeadlineStampedIntoRequests) {
   terminus_.set_slowpath_policy({.clk = &clk_, .deadline = 5ms});
   clk_.advance(100ms);
-  terminus_.handle(make_packet(1));
+  handle(terminus_, make_packet(1));
   ASSERT_EQ(channel_.accepted.size(), 1u);
   EXPECT_EQ(channel_.accepted[0].deadline_ns,
             static_cast<std::uint64_t>((clk_.now() + 5ms).time_since_epoch().count()));
 }
 
 TEST_F(shed_fixture, NoPolicyMeansNoDeadlineNoShedding) {
-  for (ilp::connection_id c = 0; c < 100; ++c) terminus_.handle(make_packet(c));
+  for (ilp::connection_id c = 0; c < 100; ++c) handle(terminus_, make_packet(c));
   EXPECT_EQ(terminus_.stats().shed, 0u);
   EXPECT_EQ(terminus_.in_flight(), 100u);
   EXPECT_EQ(channel_.accepted[0].deadline_ns, 0u);
@@ -362,7 +376,7 @@ TEST(ShedBoundedSubmit, FullChannelShedsAfterRetryBudget) {
   p.l3_src = 7;
   p.header.service = ilp::svc::delivery;
   p.header.connection = 1;
-  terminus.handle(p);  // channel never accepts: retries then sheds
+  handle(terminus, p);  // channel never accepts: retries then sheds
   EXPECT_EQ(channel.attempts, 5u);
   EXPECT_EQ(terminus.stats().shed, 1u);
   EXPECT_EQ(terminus.stats().backpressure, 5u);

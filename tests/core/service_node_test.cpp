@@ -139,6 +139,22 @@ TEST(ServiceNode, UnroutableDestinationDropped) {
   EXPECT_EQ(sn->datapath_stats().dropped, 1u);
 }
 
+// The byte entry copies into a slab of the SN's own pool; a datagram
+// larger than a slab is refused before the copy, counted and not handled.
+TEST(ServiceNode, OversizeDatagramIsCountedNotCopied) {
+  simulation net;
+  auto sn = make_sn(net, nullptr);
+  const std::size_t slab = sn->ingress_pool().slab_size();
+  sn->on_datagram(7, bytes(slab + 1, 0x03));
+  EXPECT_EQ(sn->metrics().get_counter("ilp.rx.rejected").value(), 1u);
+  EXPECT_EQ(sn->ingress_pool().stats().allocs, 0u);
+
+  sn->on_datagram(7, bytes(slab, 0x7f));  // fits: copied, then refused by kind
+  EXPECT_EQ(sn->metrics().get_counter("ilp.rx.rejected").value(), 2u);
+  EXPECT_EQ(sn->ingress_pool().stats().allocs, 1u);
+  EXPECT_EQ(sn->ingress_pool().stats().outstanding, 0u);
+}
+
 TEST(ServiceNode, ControlRoundTrip) {
   simulation net;
   auto alice = make_host(net);

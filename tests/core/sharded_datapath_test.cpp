@@ -6,16 +6,21 @@
 // delivers and steers, sn.wait_idle() lets the worker shards finish and
 // queues their forwards, and the next net.run() delivers those. settle()
 // alternates the two until the exchange quiesces.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <set>
 #include <span>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/buf_pool.h"
+#include "common/clock.h"
+#include "common/rng.h"
 #include "core/decision_cache.h"
 #include "core/service_node.h"
 #include "core/test_modules.h"
@@ -462,83 +467,313 @@ TEST(ShardedDatapath, WorkersZeroStaysInline) {
   EXPECT_EQ(sn->cache().stats().hits, 2u);
 }
 
-// ---- ISSUE 6: zero-copy views ingress --------------------------------
+// ---- differential ingress oracle --------------------------------------
 //
-// Feeds the SN through on_datagram_views: simulator datagrams are copied
-// once into pool slabs at the edge, then slab references travel through
-// steer_views, the shard SPSC rings and the in-place worker decrypt. The
-// delivered packet set must match the owned-bytes ingress exactly, and
-// every slab must be back in the pool once the exchange quiesces.
-TEST(ShardedDatapath, ViewsIngressMatchesBytesIngress) {
-  constexpr int kFlows = 6;
-  constexpr int kPerFlow = 30;
+// One seeded datagram stream — well-formed delivery traffic with hostile
+// datagrams mixed in — is fed through both SN ingress entry points (the
+// byte entry on_datagram and on_datagram_views), inline and with two
+// worker shards. Set-up handshakes and a one-packet-per-flow warm-up go
+// through the same entry point first, so every well-formed stream packet is
+// a cache hit in every run. All runs must deliver the same (connection,
+// payload) multiset, sum to the same terminus stats, count the same ingress
+// drops and account for every datagram fed, and every slab must be back in
+// the test's pool and the SN's own once the exchange quiesces.
 
-  auto run_mode = [&](std::size_t workers, bool views) {
-    simulation net;
-    testing::identity_router route;
-    auto alice = make_host(net);
-    auto bob = make_host(net);
+enum class ingress_entry { bytes, views };
 
-    // Declared before the SN so slabs outlive any view the SN still holds.
-    buf::pool_config pcfg;
-    pcfg.slab_size = 2048;
-    pcfg.slab_count = 512;
-    buf::buf_pool pool(pcfg);
+enum class hostile : int {
+  flip_header_bit,  // one bit of the sealed header flipped
+  truncate,         // the datagram cut short
+  long_varint,      // an over-long sealed-length varint
+  unknown_spi,      // the sealed header's SPI rewritten
+  no_pipe,          // data from a peer that never handshook
+  empty,            // a zero-length datagram
+  unknown_kind,     // a kind byte no element sends
+  count,
+};
 
-    auto sn = make_sn(net, &route, workers);
-    sn->env().deploy(std::make_unique<testing::forwarder_module>());
+struct stream_totals {
+  std::multiset<std::pair<ilp::connection_id, std::string>> delivered;
+  terminus_stats terminus{};  // inline terminus plus every shard's
+  std::uint64_t rejected = 0;  // ilp.rx.rejected over every registry
+  std::uint64_t no_pipe = 0;   // ilp.rx.no_pipe
+  std::uint64_t fed = 0;       // datagrams handed to the SN
+  std::uint64_t control = 0;   // handshake messages among them
+  std::uint64_t well_formed = 0;
+  std::array<std::uint64_t, static_cast<int>(hostile::count)> hostiles{};
+};
 
-    std::uint64_t shed = 0;
-    if (views) {
-      // Re-point the sim handler at the views entry: one slab copy at the
-      // edge (standing in for the NIC DMA), zero copies after.
-      net.set_handler(sn->node_id(), [&pool, &shed, raw = sn.get()](sim::node_id from,
-                                                                    const bytes& data) {
-        buf::slab_ref slab = pool.try_alloc();
-        if (!slab || data.size() > slab.size()) {
-          ++shed;  // counted drop, like the real transport under exhaustion
-          return;
-        }
-        std::memcpy(slab.data(), data.data(), data.size());
-        std::pair<peer_id, buf::pkt_view> one{
-            static_cast<peer_id>(from), buf::pkt_view(std::move(slab), 0, data.size())};
-        raw->on_datagram_views(std::span(&one, 1));
-      });
+auto stats_tuple(const terminus_stats& s) {
+  return std::tuple(s.received, s.fast_path, s.slow_path, s.forwarded, s.delivered, s.dropped,
+                    s.backpressure, s.shed);
+}
+
+class ingress_rig {
+ public:
+  static constexpr peer_id kAlice = 11;
+  static constexpr peer_id kBob = 12;
+  static constexpr peer_id kMallory = 13;  // never establishes a pipe
+  static constexpr peer_id kSn = 20;
+  static constexpr int kFlows = 8;
+
+  ingress_rig(std::size_t workers, ingress_entry entry) : entry_(entry) {
+    sn_config cfg;
+    cfg.id = kSn;
+    cfg.edomain = 1;
+    cfg.workers = workers;
+    sn_ = std::make_unique<service_node>(
+        cfg, clk_, [this](peer_id to, bytes d) { from_sn_.emplace_back(to, std::move(d)); },
+        [](nanoseconds, std::function<void()>) {}, &route_);
+    sn_->env().deploy(std::make_unique<testing::forwarder_module>());
+    alice_ = std::make_unique<ilp::pipe_manager>(
+        kAlice, [this](peer_id, bytes d) { alice_out_.push_back(std::move(d)); },
+        [](peer_id, const ilp::ilp_header&, bytes) {});
+    bob_ = std::make_unique<ilp::pipe_manager>(
+        kBob, [this](peer_id, bytes d) { bob_out_.push_back(std::move(d)); },
+        [this](peer_id, const ilp::ilp_header& h, bytes payload) {
+          totals_.delivered.emplace(h.connection, to_string(payload));
+        });
+  }
+
+  // Handshakes both pipes, then installs every flow's decision with one
+  // packet per flow. Both go through the entry point under test.
+  void set_up() {
+    alice_->connect(kSn);
+    sn_->peer_with(kBob);
+    for (int round = 0; round < 16 && !ready(); ++round) {
+      std::vector<std::pair<peer_id, bytes>> in;
+      for (bytes& d : alice_out_) in.emplace_back(kAlice, std::move(d));
+      for (bytes& d : bob_out_) in.emplace_back(kBob, std::move(d));
+      alice_out_.clear();
+      bob_out_.clear();
+      feed(in);
+      settle();
     }
-
+    ASSERT_TRUE(ready());
+    std::vector<std::pair<peer_id, bytes>> warm;
     for (int c = 1; c <= kFlows; ++c) {
-      for (int p = 0; p < kPerFlow; ++p) {
-        alice->mgr->send(sn->node_id(), delivery_header(bob->node, c),
-                         to_bytes("c" + std::to_string(c) + "p" + std::to_string(p)));
-      }
+      alice_->send(kSn, header(c), to_bytes("w" + std::to_string(c)));
+      warm.emplace_back(kAlice, std::move(alice_out_.back()));
+      ++totals_.well_formed;
     }
-    settle(net, *sn);
-    EXPECT_EQ(shed, 0u);
+    alice_out_.clear();
+    feed(warm);
+    settle();
+  }
 
-    if (views) {
-      // Quiesced: every slab reference the datapath took has been dropped
-      // — nothing pinned in rings, scratch batches or the terminus.
-      const auto ps = pool.stats();
+  // Feeds `length` seeded stream datagrams in seeded batches of 1..32.
+  void run_stream(std::uint64_t seed, std::size_t length) {
+    rng r(seed);
+    std::vector<std::pair<peer_id, bytes>> stream;
+    for (std::size_t i = 0; i < length; ++i) {
+      const int c = static_cast<int>(r.below(kFlows)) + 1;
+      if (r.chance(0.7)) {
+        stream.emplace_back(kAlice,
+                            seal(c, "c" + std::to_string(c) + "p" + std::to_string(i)));
+        ++totals_.well_formed;
+        continue;
+      }
+      const auto h = static_cast<hostile>(r.below(static_cast<int>(hostile::count)));
+      ++totals_.hostiles[static_cast<int>(h)];
+      bytes d = seal(c, "h" + std::to_string(i));
+      peer_id from = kAlice;
+      // Wire layout: kind || varint sealed_len || spi(4) iv(8) ct tag || payload.
+      std::size_t sealed_at = 1;
+      std::size_t sealed_len = 0;
+      for (int shift = 0;; shift += 7) {
+        const std::uint8_t b = d[sealed_at++];
+        sealed_len |= static_cast<std::size_t>(b & 0x7f) << shift;
+        if ((b & 0x80) == 0) break;
+      }
+      switch (h) {
+        case hostile::flip_header_bit: {
+          const std::size_t bit = r.below(sealed_len * 8);
+          d[sealed_at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+          break;
+        }
+        case hostile::truncate:
+          d.resize(1 + r.below(d.size() - 1));
+          break;
+        case hostile::long_varint:
+          d.insert(d.begin() + 1, 10, std::uint8_t{0xff});
+          break;
+        case hostile::unknown_spi:
+          for (int k = 0; k < 4; ++k) d[sealed_at + k] ^= 0x5a;
+          break;
+        case hostile::no_pipe:
+          from = kMallory;
+          break;
+        case hostile::empty:
+          d.clear();
+          break;
+        case hostile::unknown_kind:
+          d[0] = 0x7f;
+          break;
+        case hostile::count:
+          break;
+      }
+      stream.emplace_back(from, std::move(d));
+    }
+    std::size_t at = 0;
+    while (at < stream.size()) {
+      const std::size_t n = std::min<std::size_t>(1 + r.below(32), stream.size() - at);
+      feed(std::span(stream).subspan(at, n));
+      at += n;
+    }
+    settle();
+  }
+
+  stream_totals totals() {
+    stream_totals t = totals_;
+    t.terminus = sn_->datapath_stats();
+    for (std::size_t k = 0; k < sn_->worker_count(); ++k) {
+      const terminus_stats& s = sn_->shard_terminus_stats(k);
+      t.terminus.received += s.received;
+      t.terminus.fast_path += s.fast_path;
+      t.terminus.slow_path += s.slow_path;
+      t.terminus.forwarded += s.forwarded;
+      t.terminus.delivered += s.delivered;
+      t.terminus.dropped += s.dropped;
+      t.terminus.backpressure += s.backpressure;
+      t.terminus.shed += s.shed;
+    }
+    metrics_registry merged;
+    sn_->merge_metrics_into(merged);
+    t.rejected = merged.get_counter("ilp.rx.rejected").value();
+    t.no_pipe = merged.get_counter("ilp.rx.no_pipe").value();
+    EXPECT_EQ(merged.get_counter("sn.shard.no_replica").value(), 0u);
+    EXPECT_EQ(ingress_drops_total(*sn_), 0u);
+    for (const buf::pool_stats& ps : {pool_.stats(), sn_->ingress_pool().stats()}) {
       EXPECT_EQ(ps.outstanding, 0u);
       EXPECT_EQ(ps.allocs, ps.frees);
-      EXPECT_GE(ps.allocs, static_cast<std::uint64_t>(kFlows * kPerFlow));
+      EXPECT_EQ(ps.exhausted, 0u);
     }
-    if (workers > 0) {
-      EXPECT_GE(steered_total(*sn), static_cast<std::uint64_t>(kFlows * kPerFlow));
-      EXPECT_EQ(ingress_drops_total(*sn), 0u);
-    }
+    return t;
+  }
 
-    std::multiset<std::string> payloads;
-    for (auto& [hdr, payload] : bob->received) payloads.insert(to_string(payload));
-    return payloads;
+ private:
+  bool ready() const {
+    return alice_->has_pipe(kSn) && bob_->has_pipe(kSn) && sn_->pipes().pipe_count() == 2;
+  }
+
+  ilp::ilp_header header(int c) const {
+    ilp::ilp_header h = delivery_header(kBob, static_cast<ilp::connection_id>(c));
+    h.set_meta_u64(ilp::meta_key::src_addr, kAlice);
+    return h;
+  }
+
+  bytes seal(int c, const std::string& payload) {
+    alice_->send(kSn, header(c), to_bytes(payload));
+    bytes d = std::move(alice_out_.back());
+    alice_out_.clear();
+    return d;
+  }
+
+  void feed(std::span<const std::pair<peer_id, bytes>> batch) {
+    for (const auto& [from, d] : batch) {
+      ++totals_.fed;
+      if (!d.empty() && (d[0] == static_cast<std::uint8_t>(ilp::msg_kind::handshake_init) ||
+                         d[0] == static_cast<std::uint8_t>(ilp::msg_kind::handshake_resp))) {
+        ++totals_.control;
+      }
+    }
+    switch (entry_) {
+      case ingress_entry::bytes:
+        for (const auto& [from, d] : batch) sn_->on_datagram(from, d);
+        break;
+      case ingress_entry::views: {
+        std::vector<std::pair<peer_id, buf::pkt_view>> views;
+        for (const auto& [from, d] : batch) {
+          buf::slab_ref slab = pool_.try_alloc();
+          ASSERT_TRUE(slab);
+          std::copy(d.begin(), d.end(), slab.data());
+          views.emplace_back(from, buf::pkt_view(std::move(slab), 0, d.size()));
+        }
+        sn_->on_datagram_views(views);
+        break;
+      }
+    }
+  }
+
+  // Lets the shards finish, then hands the SN's egress to the hosts.
+  void settle() {
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_TRUE(sn_->wait_idle(std::chrono::milliseconds(10000)));
+      std::vector<std::pair<peer_id, bytes>> out;
+      out.swap(from_sn_);
+      for (const auto& [to, d] : out) {
+        if (to == kAlice) alice_->on_datagram(kSn, d);
+        if (to == kBob) bob_->on_datagram(kSn, d);
+      }
+    }
+  }
+
+  ingress_entry entry_;
+  manual_clock clk_;
+  testing::identity_router route_;
+  stream_totals totals_;
+  std::vector<std::pair<peer_id, bytes>> from_sn_;
+  std::vector<bytes> alice_out_;
+  std::vector<bytes> bob_out_;
+  // Declared before the SN so every slab outlives any view the SN holds.
+  buf::buf_pool pool_{buf::pool_config{.slab_size = 2048, .slab_count = 1024}};
+  std::unique_ptr<service_node> sn_;
+  std::unique_ptr<ilp::pipe_manager> alice_;
+  std::unique_ptr<ilp::pipe_manager> bob_;
+};
+
+TEST(ShardedDatapath, ViewsIngressMatchesBytesIngress) {
+  constexpr std::uint64_t kSeed = 0x1e55;
+  constexpr std::size_t kStream = 600;
+  struct arm {
+    std::size_t workers;
+    ingress_entry entry;
   };
+  const arm arms[] = {
+      {0, ingress_entry::bytes},
+      {0, ingress_entry::views},
+      {2, ingress_entry::bytes},
+      {2, ingress_entry::views},
+  };
+  std::optional<stream_totals> first;
+  for (const arm& a : arms) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << a.workers
+                                    << " entry=" << static_cast<int>(a.entry));
+    ingress_rig rig(a.workers, a.entry);
+    rig.set_up();
+    if (HasFatalFailure()) return;
+    rig.run_stream(kSeed, kStream);
+    const stream_totals t = rig.totals();
 
-  const auto bytes_parallel = run_mode(4, /*views=*/false);
-  const auto views_parallel = run_mode(4, /*views=*/true);
-  const auto views_inline = run_mode(0, /*views=*/true);
-  EXPECT_EQ(bytes_parallel.size(), static_cast<std::size_t>(kFlows * kPerFlow));
-  EXPECT_EQ(views_parallel, bytes_parallel);
-  EXPECT_EQ(views_inline, bytes_parallel);
+    // Every well-formed packet is delivered exactly once; every hostile
+    // one is refused.
+    EXPECT_EQ(t.delivered.size(), t.well_formed);
+    EXPECT_EQ(t.terminus.received, t.well_formed);
+    EXPECT_EQ(t.terminus.forwarded, t.well_formed);
+    EXPECT_EQ(t.terminus.slow_path, static_cast<std::uint64_t>(ingress_rig::kFlows));
+    EXPECT_EQ(t.no_pipe, t.hostiles[static_cast<int>(hostile::no_pipe)]);
+    EXPECT_EQ(t.rejected, t.hostiles[static_cast<int>(hostile::flip_header_bit)] +
+                              t.hostiles[static_cast<int>(hostile::truncate)] +
+                              t.hostiles[static_cast<int>(hostile::long_varint)] +
+                              t.hostiles[static_cast<int>(hostile::unknown_spi)] +
+                              t.hostiles[static_cast<int>(hostile::empty)] +
+                              t.hostiles[static_cast<int>(hostile::unknown_kind)]);
+    // Conservation: every datagram fed is opened, refused or a handshake.
+    EXPECT_EQ(t.fed, t.terminus.received + t.rejected + t.no_pipe + t.control);
+    for (int h = 0; h < static_cast<int>(hostile::count); ++h) {
+      EXPECT_GT(t.hostiles[h], 0u) << "hostile kind " << h << " never drawn";
+    }
+
+    if (!first) {
+      first = t;
+      continue;
+    }
+    EXPECT_EQ(t.delivered, first->delivered);
+    EXPECT_EQ(stats_tuple(t.terminus), stats_tuple(first->terminus));
+    EXPECT_EQ(t.rejected, first->rejected);
+    EXPECT_EQ(t.no_pipe, first->no_pipe);
+    EXPECT_EQ(t.fed, first->fed);
+  }
 }
 
 // The invalidation bus against live worker threads: lookups and inserts on

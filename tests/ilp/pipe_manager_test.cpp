@@ -172,6 +172,37 @@ TEST(PipeManager, MalformedHandshakeIgnored) {
   EXPECT_EQ(b->mgr->pipe_count(), 0u);
 }
 
+// Every datagram the manager refuses is counted in ilp.rx.rejected, not
+// only logged, on the per-datagram and the batch entry alike.
+TEST(PipeManager, RefusedDatagramsAreCounted) {
+  metrics_registry reg;
+  pipe_manager m(1, [](peer_id, bytes) {}, [](peer_id, const ilp_header&, bytes) {});
+  m.set_metrics(reg);
+  const counter& rejected = reg.get_counter("ilp.rx.rejected");
+
+  m.on_datagram(2, {});
+  EXPECT_EQ(rejected.value(), 1u);  // empty
+
+  bytes unknown{0x7f, 1, 2, 3};
+  m.on_datagram(2, unknown);
+  EXPECT_EQ(rejected.value(), 2u);  // unknown kind
+
+  const bytes bad_init{static_cast<std::uint8_t>(msg_kind::handshake_init), 0x01};
+  m.on_datagram(2, bad_init);
+  EXPECT_EQ(rejected.value(), 3u);  // malformed handshake init
+
+  m.connect(3);  // our init is pending, so the response below gets parsed
+  const bytes bad_resp{static_cast<std::uint8_t>(msg_kind::handshake_resp), 0x01};
+  m.on_datagram(3, bad_resp);
+  EXPECT_EQ(rejected.value(), 4u);  // malformed handshake response
+  EXPECT_EQ(m.pipe_count(), 0u);
+
+  m.set_batch_deliver([](peer_id, std::span<opened_packet>) {});
+  const byte_span batch[] = {byte_span(), byte_span(unknown)};
+  m.on_datagram_batch_mut(2, batch);
+  EXPECT_EQ(rejected.value(), 6u);
+}
+
 TEST(PipeManager, LossyHandshakeRetriesViaResend) {
   // Packets (including handshakes) can be lost; a later send retries the
   // handshake because the first one never completed. This test drops ALL

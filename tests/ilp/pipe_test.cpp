@@ -133,17 +133,18 @@ TEST(Pipe, SealIntoMatchesSeal) {
 
 TEST(Pipe, DecryptBatchRoundTrip) {
   auto [a, b] = make_pair();
+  // Decrypted in place: the bodies are the test's own copies of the wire.
   std::vector<bytes> wires;
-  std::vector<const_byte_span> bodies;
+  std::vector<byte_span> bodies;
   for (int i = 0; i < 6; ++i) {
     ilp_header h = sample_header();
     h.connection = static_cast<connection_id>(i);
     wires.push_back(a.seal(h, to_bytes("m" + std::to_string(i))));
   }
-  for (const bytes& w : wires) bodies.push_back(const_byte_span(w).subspan(1));
+  for (bytes& w : wires) bodies.push_back(byte_span(w).subspan(1));
 
   std::vector<std::optional<opened_packet>> out;
-  EXPECT_EQ(b.decrypt_batch(bodies, out), 6u);
+  EXPECT_EQ(b.decrypt_batch_mut(bodies, out), 6u);
   ASSERT_EQ(out.size(), 6u);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(out[i].has_value()) << i;
@@ -160,11 +161,11 @@ TEST(Pipe, DecryptBatchSkipsBadPacket) {
     wires.push_back(a.seal(sample_header(), to_bytes("ok")));
   }
   wires[1][4] ^= 0x01;  // corrupt the middle packet's sealed header
-  std::vector<const_byte_span> bodies;
-  for (const bytes& w : wires) bodies.push_back(const_byte_span(w).subspan(1));
+  std::vector<byte_span> bodies;
+  for (bytes& w : wires) bodies.push_back(byte_span(w).subspan(1));
 
   std::vector<std::optional<opened_packet>> out;
-  EXPECT_EQ(b.decrypt_batch(bodies, out), 2u);
+  EXPECT_EQ(b.decrypt_batch_mut(bodies, out), 2u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(out[0].has_value());
   EXPECT_FALSE(out[1].has_value());

@@ -7,6 +7,9 @@
 // (re-judged, re-admitted).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/buf_pool.h"
 #include "common/serial.h"
 #include "core/service_node.h"
 #include "core/test_modules.h"
@@ -127,6 +130,9 @@ std::size_t payload_count(const sim_host& h, std::string_view body) {
 struct shed_rig {
   simulation net;
   testing::identity_router route;
+  // Declared before the SN: its shards hold slab views until they are
+  // done with them.
+  buf::buf_pool pool{buf::pool_config{.slab_size = 2048, .slab_count = 512}};
   std::unique_ptr<sim_host> victim;
   std::unique_ptr<service_node> sn;
   services::ddos_service* ddos = nullptr;
@@ -152,6 +158,18 @@ struct shed_rig {
                       w.take());
     net.run();
     sn->env().set_config(ilp::svc::ddos_protect, "admit_cache_ttl_ms", "50");
+  }
+
+  // Hands a whole burst to the SN as one ingress batch of slab views.
+  void ingest(const std::vector<std::pair<peer_id, bytes>>& burst) {
+    std::vector<std::pair<peer_id, buf::pkt_view>> views;
+    for (const auto& [from, d] : burst) {
+      buf::slab_ref slab = pool.try_alloc();
+      ASSERT_TRUE(slab);
+      std::memcpy(slab.data(), d.data(), d.size());
+      views.emplace_back(from, buf::pkt_view(std::move(slab), 0, d.size()));
+    }
+    sn->on_datagram_views(views);
   }
 };
 
@@ -198,7 +216,7 @@ TEST(DdosShed, LegitimateFlowsSurviveFloodOnCachedAdmitVerdicts) {
   }
   rig.attacker->outbox.clear();
   rig.legit->outbox.clear();
-  rig.sn->on_datagrams(std::span(burst));
+  rig.ingest(burst);
   ASSERT_TRUE(rig.sn->wait_idle());
   rig.net.run();
 
@@ -258,7 +276,7 @@ burst_outcome flood_burst(shed_rig& rig, std::uint64_t count) {
   std::vector<std::pair<peer_id, bytes>> burst;
   for (bytes& d : rig.attacker->outbox) burst.emplace_back(rig.attacker->node, std::move(d));
   rig.attacker->outbox.clear();
-  rig.sn->on_datagrams(std::span(burst));
+  rig.ingest(burst);
   EXPECT_TRUE(rig.sn->wait_idle());
   rig.net.run();
   const burst_outcome after = totals();

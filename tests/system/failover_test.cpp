@@ -5,6 +5,9 @@
 // sanitizer CI's fault-matrix target (tools/ci_sanitizers.sh).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/buf_pool.h"
 #include "core/service_node.h"
 #include "core/test_modules.h"
 #include "simnet/simulation.h"
@@ -218,6 +221,9 @@ TEST(Failover, SaturatedSlowPathShedsInsteadOfBlocking) {
   simulation net;
   testing::identity_router route;
   auto server = make_host(net);
+  // Declared before the SN: its shards hold slab views until they are
+  // done with them.
+  buf::buf_pool pool(buf::pool_config{.slab_size = 2048, .slab_count = 512});
   auto sn = make_sn(net, &route,
                     sn_config{.workers = 2, .slowpath_high_water = 4, .shed_ttl = 5ms});
   sn->env().deploy(std::make_unique<testing::forwarder_module>());
@@ -246,10 +252,15 @@ TEST(Failover, SaturatedSlowPathShedsInsteadOfBlocking) {
   for (int i = 1; i <= kFlood; ++i) {
     client.send(sn->node_id(), delivery_header(server->node, i), to_bytes("x"));
   }
-  std::vector<std::pair<peer_id, bytes>> burst;
-  for (bytes& d : outbox) burst.emplace_back(client_node, std::move(d));
+  std::vector<std::pair<peer_id, buf::pkt_view>> burst;
+  for (const bytes& d : outbox) {
+    buf::slab_ref slab = pool.try_alloc();
+    ASSERT_TRUE(slab);
+    std::memcpy(slab.data(), d.data(), d.size());
+    burst.emplace_back(client_node, buf::pkt_view(std::move(slab), 0, d.size()));
+  }
   ASSERT_GE(burst.size(), static_cast<std::size_t>(kFlood));
-  sn->on_datagrams(std::span(burst));
+  sn->on_datagram_views(burst);
   ASSERT_TRUE(sn->wait_idle());
   net.run();  // forwarded packets reach the server through the simulator
 

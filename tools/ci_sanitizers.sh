@@ -101,6 +101,20 @@ run_preset() {
     "$net_test" --gtest_brief=1
     taskset -c 0 "$net_test" --gtest_brief=1
   done
+  # The differential ingress test and the allocation budget move slab
+  # references between the control thread and worker shards (the byte
+  # entry's own pool included): 20 free, 20 on one CPU.
+  echo "== $preset: differential ingress + alloc_test x20 alone, x20 on one CPU =="
+  parallel_test="build-$preset/tests/parallel_test"
+  alloc_test="build-$preset/tests/alloc_test"
+  for i in $(seq 20); do
+    "$parallel_test" --gtest_filter='ShardedDatapath.ViewsIngressMatchesBytesIngress' \
+      --gtest_brief=1
+    taskset -c 0 "$parallel_test" --gtest_filter='ShardedDatapath.ViewsIngressMatchesBytesIngress' \
+      --gtest_brief=1
+    "$alloc_test" --gtest_brief=1
+    taskset -c 0 "$alloc_test" --gtest_brief=1
+  done
 }
 
 case "${1:-all}" in
