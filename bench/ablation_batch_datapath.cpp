@@ -102,12 +102,12 @@ struct datapath {
 
   datapath() {
     channel = std::make_unique<inline_channel>([this](slowpath_request req) {
-      const auto header = ilp::ilp_header::decode(req.header_bytes);
+      const packet& pkt = *req.pkt;
       slowpath_response resp;
       resp.token = req.token;
       resp.verdict = verdict;
-      resp.cache_inserts.emplace_back(cache_key{req.l3_src, header.service, header.connection},
-                                      verdict);
+      resp.cache_inserts.emplace_back(
+          cache_key{pkt.l3_src, pkt.header.service, pkt.header.connection}, verdict);
       return resp;
     });
     terminus = std::make_unique<pipe_terminus>(

@@ -286,7 +286,7 @@ void BM_SloEvaluate(benchmark::State& state) {
   slo::slo_monitor mon(ts, slo::burn_windows{});
   for (int i = 0; i < 4; ++i) {
     slo::slo_target t;
-    t.name = "t" + std::to_string(i);
+    t.name = std::string("t").append(std::to_string(i));
     t.service = "delivery";
     t.latency_series = "lat";
     t.threshold_ns = 2'000'000;

@@ -1,7 +1,9 @@
 // Ablation A2: slow-path transport choice. The paper's prototype "used IPC
 // to send and receive data from services which obviously adds overhead",
 // naming shared-memory rings as the known fix. This measures the
-// per-packet service round trip over each transport.
+// per-packet service round trip over each transport. The in-process
+// transports pass a pointer to the terminus's parked packet; IPC
+// serializes it and the service side decodes its own copy.
 #include <benchmark/benchmark.h>
 
 #include <type_traits>
@@ -23,15 +25,17 @@ slowpath_handler null_handler() {
   };
 }
 
-slowpath_request make_request(std::size_t payload_size) {
-  slowpath_request req;
-  req.l3_src = 1;
-  req.header_bytes = bytes(24, 0x11);
-  req.payload = bytes(payload_size, 0x5a);
-  return req;
+packet make_packet(std::size_t payload_size) {
+  packet pkt;
+  pkt.l3_src = 1;
+  pkt.header.service = ilp::svc::null_service;
+  pkt.header.connection = 7;
+  pkt.header.set_meta_u64(ilp::meta_key::dest_addr, 2);
+  pkt.payload = bytes(payload_size, 0x5a);
+  return pkt;
 }
 
-void pump_one(slowpath_channel& ch, slowpath_request req) {
+void pump_one(slowpath_channel& ch, const slowpath_request& req) {
   while (!ch.submit(req)) {
   }
   // ring_channel offers a parking wait — essential when producer and
@@ -54,36 +58,30 @@ void pump_one(slowpath_channel& ch, slowpath_request req) {
 
 void BM_Transport_Inline(benchmark::State& state) {
   inline_channel ch(null_handler());
-  const auto req = make_request(static_cast<std::size_t>(state.range(0)));
+  const packet pkt = make_packet(static_cast<std::size_t>(state.range(0)));
   std::uint64_t token = 0;
   for (auto _ : state) {
-    auto r = req;
-    r.token = token++;
-    pump_one(ch, std::move(r));
+    pump_one(ch, slowpath_request{.token = token++, .pkt = &pkt});
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_Transport_Ring(benchmark::State& state) {
   ring_channel ch(null_handler());
-  const auto req = make_request(static_cast<std::size_t>(state.range(0)));
+  const packet pkt = make_packet(static_cast<std::size_t>(state.range(0)));
   std::uint64_t token = 0;
   for (auto _ : state) {
-    auto r = req;
-    r.token = token++;
-    pump_one(ch, std::move(r));
+    pump_one(ch, slowpath_request{.token = token++, .pkt = &pkt});
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_Transport_Ipc(benchmark::State& state) {
   ipc_channel ch(null_handler());
-  const auto req = make_request(static_cast<std::size_t>(state.range(0)));
+  const packet pkt = make_packet(static_cast<std::size_t>(state.range(0)));
   std::uint64_t token = 0;
   for (auto _ : state) {
-    auto r = req;
-    r.token = token++;
-    pump_one(ch, std::move(r));
+    pump_one(ch, slowpath_request{.token = token++, .pkt = &pkt});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -92,16 +90,16 @@ void BM_Transport_Ipc(benchmark::State& state) {
 template <typename Channel>
 void pipelined(benchmark::State& state) {
   Channel ch(null_handler());
-  const auto base = make_request(static_cast<std::size_t>(state.range(0)));
+  const packet pkt = make_packet(static_cast<std::size_t>(state.range(0)));
   std::uint64_t token = 0;
   std::uint64_t completed = 0;
   std::uint64_t submitted = 0;
   for (auto _ : state) {
     // Keep the 64-deep window full...
     while (submitted - completed < 64) {
-      auto r = base;
-      r.token = token++;
-      if (!ch.submit(std::move(r))) break;  // bounded channel momentarily full
+      if (!ch.submit(slowpath_request{.token = token++, .pkt = &pkt})) {
+        break;  // bounded channel momentarily full
+      }
       ++submitted;
     }
     // ...and account one completion per iteration.

@@ -192,13 +192,10 @@ bench_result run_null_service(bool enclave, std::chrono::milliseconds duration,
     env.deploy(std::make_unique<services::null_service>(kEgressPeer));
   }
 
-  // The service thread lives inside the IPC channel.
+  // The service thread lives inside the IPC channel, which serializes the
+  // request and decodes it into the service side's own packet.
   core::ipc_channel channel([&env](core::slowpath_request req) {
-    core::packet pkt;
-    pkt.l3_src = req.l3_src;
-    pkt.header = ilp::ilp_header::decode(req.header_bytes);
-    pkt.payload = std::move(req.payload);
-    return core::to_response(req.token, env.dispatch(pkt));
+    return core::to_response(req.token, env.dispatch(*req.pkt));
   });
 
   histogram latency;

@@ -7,10 +7,14 @@
 // flat table with the key/value inline is both simpler and an order of
 // magnitude fewer cache misses.
 //
-// Deliberately minimal: u64 keys, insert-or-assign and find only, no
-// erase (peers are never removed), grows by doubling at 70% load. A
-// per-slot occupied flag rather than a sentinel key — peer_id 0 and
-// source 0 are both representable.
+// The decision cache keeps its per-service list heads in one too, keyed by
+// service ID, and drops a service when its last entry leaves.
+//
+// Deliberately minimal: u64 keys, insert-or-assign, find and erase, grows
+// by doubling at 70% load and never shrinks. Erase shifts the rest of the
+// probe run back, so there are no tombstones. A per-slot occupied flag
+// rather than a sentinel key — peer_id 0 and source 0 are both
+// representable.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +48,32 @@ class flat_hash64 {
   }
   const V* find(std::uint64_t key) const {
     return const_cast<flat_hash64*>(this)->find(key);
+  }
+
+  // Removes `key` if present. Every later member of its probe run whose
+  // home slot does not lie between the hole and itself moves back into
+  // the hole, so a find never stops early at a vacated slot.
+  bool erase(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = mix(key) & mask;
+    while (slots_[hole].occupied && slots_[hole].key != key) hole = (hole + 1) & mask;
+    if (!slots_[hole].occupied) return false;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].occupied; j = (j + 1) & mask) {
+      const std::size_t home = mix(slots_[j].key) & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole] = slot{};
+    --size_;
+    return true;
+  }
+
+  // Empties the table, keeping its size.
+  void clear() {
+    for (slot& s : slots_) s = slot{};
+    size_ = 0;
   }
 
   bool contains(std::uint64_t key) const { return find(key) != nullptr; }

@@ -50,25 +50,26 @@ cache_key decode_key(reader& r) {
 }  // namespace
 
 bytes slowpath_request::encode() const {
-  writer w(40 + header_bytes.size() + payload.size());
+  const bytes header = pkt->header.encode();
+  writer w(40 + header.size() + pkt->payload.size());
   w.u64(token);
-  w.u64(l3_src);
+  w.u64(pkt->l3_src);
   w.u64(deadline_ns);
-  w.blob(header_bytes);
-  w.blob(payload);
+  w.blob(header);
+  w.blob(pkt->payload);
   return w.take();
 }
 
-slowpath_request slowpath_request::decode(const_byte_span data) {
+slowpath_request slowpath_request::decode(const_byte_span data, packet& storage) {
   reader r(data);
   slowpath_request req;
   req.token = r.u64();
-  req.l3_src = r.u64();
+  storage.l3_src = r.u64();
   req.deadline_ns = r.u64();
-  const const_byte_span h = r.blob();
-  req.header_bytes.assign(h.begin(), h.end());
+  storage.header = ilp::ilp_header::decode(r.blob());
   const const_byte_span p = r.blob();
-  req.payload.assign(p.begin(), p.end());
+  storage.payload.assign(p.begin(), p.end());
+  req.pkt = &storage;
   return req;
 }
 
@@ -98,10 +99,10 @@ slowpath_response slowpath_response::decode(const_byte_span data) {
   resp.annotations = r.u16();
   resp.verdict = decode_decision(r);
   const std::uint64_t n_inserts = r.varint();
+  if (n_inserts > kMaxCacheInserts) throw serial_error("response has too many cache inserts");
   for (std::uint64_t i = 0; i < n_inserts; ++i) {
-    cache_key key = decode_key(r);
-    decision value = decode_decision(r);
-    resp.cache_inserts.emplace_back(key, std::move(value));
+    const cache_key key = decode_key(r);
+    resp.cache_inserts.emplace_back(key, decode_decision(r));
   }
   const std::uint64_t n_sends = r.varint();
   for (std::uint64_t i = 0; i < n_sends; ++i) {
@@ -164,7 +165,7 @@ void ring_channel::worker_loop(slowpath_handler handler) {
       continue;
     }
     idle_spins = 0;
-    slowpath_response resp = handler(std::move(*req));
+    slowpath_response resp = handler(*req);
     while (!responses_.try_push(std::move(resp))) {
       if (stop_.load(std::memory_order_acquire)) return;
       spin_pause();
@@ -177,7 +178,7 @@ void ring_channel::worker_loop(slowpath_handler handler) {
 }
 
 bool ring_channel::submit(slowpath_request request) {
-  if (!requests_.try_push(std::move(request))) return false;
+  if (!requests_.try_push(request)) return false;
   if (worker_parked_.load(std::memory_order_acquire)) {
     std::lock_guard lock(doorbell_mu_);
     request_doorbell_.notify_one();
@@ -228,7 +229,7 @@ std::size_t slowpath_hub::pump() {
         ++expired_;
         if (expired_counter_) expired_counter_->add();
       } else {
-        resp = handler_(std::move(*req));
+        resp = handler_(*req);
       }
       // The terminus seeds its tokens with token_seed(shard), so the
       // response routes itself; fall back to the requesting shard for
@@ -337,10 +338,11 @@ ipc_channel::~ipc_channel() {
 
 void ipc_channel::worker_loop(slowpath_handler handler) {
   bytes buffer;
+  packet pkt;  // the service side's copy of the request's packet
   for (;;) {
     auto frame = read_frame_buffered(service_fd_, buffer);
     if (!frame) return;  // EOF: terminus shut down
-    slowpath_response resp = handler(slowpath_request::decode(*frame));
+    slowpath_response resp = handler(slowpath_request::decode(*frame, pkt));
     write_frame(service_fd_, resp.encode());
   }
 }

@@ -15,19 +15,22 @@
 //                    write+read syscall pair per packet (the prototype's
 //                    design measured in Table 1)
 //
-// All channels carry the same serialized request/response, so switching
-// transports changes cost, never semantics.
+// In-process channels hand the request and response over as objects; the
+// request points at the packet parked in the terminus's pending slot, so a
+// slow-path round trip copies no payload. ipc_channel serializes both
+// directions, as the prototype did. Switching transports changes cost,
+// never semantics.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -39,19 +42,24 @@ namespace interedge::core {
 
 // What the terminus hands the service layer. Per §4 the terminus forwards
 // "the packet's L3 header and decrypted ILP header"; the payload rides
-// along for services (e.g. caching) that need it.
+// along for services (e.g. caching) that need it. `pkt` points at the
+// terminus's pending slot, which the terminus leaves alone until it pops
+// this request's response: the channel's ring publishes the slot to the
+// service thread (release/acquire) and the response ring hands it back.
 struct slowpath_request {
   std::uint64_t token = 0;  // correlates the async response
-  peer_id l3_src = 0;
   // Absolute expiry (clock ns since epoch); 0 = no deadline. A request
   // still queued past its deadline is expired by whoever dequeues it
   // (slowpath_hub::pump or the SN handler) instead of doing stale work.
   std::uint64_t deadline_ns = 0;
-  bytes header_bytes;  // encoded ILP header
-  bytes payload;
+  const packet* pkt = nullptr;
 
+  // ipc_channel's wire form: token, L3 source, deadline, encoded header,
+  // payload.
   bytes encode() const;
-  static slowpath_request decode(const_byte_span data);
+  // Decodes into `storage` and returns a request pointing at it. Throws
+  // interedge::serial_error on malformed input.
+  static slowpath_request decode(const_byte_span data, packet& storage);
 };
 
 struct slowpath_response {
@@ -61,7 +69,7 @@ struct slowpath_response {
   // kAnnoDeadlineExpired for a hub-synthesized drop); the terminus folds
   // them into the packet's path span.
   std::uint16_t annotations = 0;
-  std::vector<std::pair<cache_key, decision>> cache_inserts;
+  cache_insert_list cache_inserts;
   std::vector<outbound> sends;
 
   bytes encode() const;
@@ -85,19 +93,23 @@ class inline_channel final : public slowpath_channel {
  public:
   explicit inline_channel(slowpath_handler handler) : handler_(std::move(handler)) {}
   bool submit(slowpath_request request) override {
-    done_.push_back(handler_(std::move(request)));
+    done_.push_back(handler_(request));
     return true;
   }
   std::optional<slowpath_response> poll() override {
-    if (done_.empty()) return std::nullopt;
-    slowpath_response r = std::move(done_.front());
-    done_.pop_front();
+    if (next_ == done_.size()) return std::nullopt;
+    slowpath_response r = std::move(done_[next_++]);
+    if (next_ == done_.size()) {
+      done_.clear();  // keeps the capacity: steady state never allocates
+      next_ = 0;
+    }
     return r;
   }
 
  private:
   slowpath_handler handler_;
-  std::deque<slowpath_response> done_;
+  std::vector<slowpath_response> done_;  // completed, not yet polled from next_
+  std::size_t next_ = 0;
 };
 
 // SPSC rings to a dedicated service thread. The data path is lock-free;
@@ -179,9 +191,7 @@ class slowpath_hub {
  private:
   struct endpoint_impl final : slowpath_channel {
     explicit endpoint_impl(std::size_t depth) : requests(depth), responses(depth) {}
-    bool submit(slowpath_request request) override {
-      return requests.try_push(std::move(request));
-    }
+    bool submit(slowpath_request request) override { return requests.try_push(request); }
     std::optional<slowpath_response> poll() override { return responses.try_pop(); }
     spsc_ring<slowpath_request> requests;
     spsc_ring<slowpath_response> responses;

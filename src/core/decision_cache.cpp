@@ -1,6 +1,8 @@
 #include "core/decision_cache.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <type_traits>
 
 #include "common/serial.h"
 
@@ -15,190 +17,253 @@ crypto::siphash_key cache_hash_key(std::uint64_t seed) {
   return k;
 }
 
-std::uint64_t cache_key_hash(const crypto::siphash_key& k, const cache_key& key) {
-  std::uint8_t packed[8 + 4 + 8];
-  for (int i = 0; i < 8; ++i) packed[i] = static_cast<std::uint8_t>(key.l3_src >> (8 * i));
-  for (int i = 0; i < 4; ++i) packed[8 + i] = static_cast<std::uint8_t>(key.service >> (8 * i));
-  for (int i = 0; i < 8; ++i) {
-    packed[12 + i] = static_cast<std::uint8_t>(key.connection >> (8 * i));
-  }
-  return crypto::siphash24(k, const_byte_span(packed, sizeof(packed)));
-}
-
 decision_cache::decision_cache(std::size_t capacity, std::uint64_t hash_seed)
-    : index_(16, key_hash{cache_hash_key(hash_seed)}), capacity_(capacity == 0 ? 1 : capacity) {
-  // Size the index for the full working set up front so steady-state
-  // lookups and inserts never trigger a rehash on the fast path.
-  index_.reserve(capacity_);
+    : capacity_(capacity == 0 ? 1 : capacity),
+      hash_key_(crypto::load_key(cache_hash_key(hash_seed))) {
+  if (capacity_ >= kNil / 2) throw std::invalid_argument("decision_cache: capacity too large");
+  static_assert(std::is_trivially_destructible_v<node>);
+  nodes_ = std::allocator<node>().allocate(capacity_);
+  std::size_t slots = 2;
+  while (slots < 2 * capacity_) slots <<= 1;
+  index_ = std::make_unique<std::uint32_t[]>(slots);
+  index_mask_ = slots - 1;
 }
 
-void decision_cache::svc_index_add(lru_list::iterator it) {
-  svc_bucket& bucket = by_service_[it->key.service];
-  bucket.push_front(it);
-  it->svc_it = bucket.begin();
+decision_cache::~decision_cache() { std::allocator<node>().deallocate(nodes_, capacity_); }
+
+std::uint32_t decision_cache::find(const cache_key& key, std::uint64_t hash) const {
+  for (std::size_t i = hash & index_mask_;; i = (i + 1) & index_mask_) {
+    const std::uint32_t slot = index_[i];
+    if (slot == 0) return kNil;
+    const node& n = nodes_[slot - 1];
+    if (n.hash == hash && n.key == key) return slot - 1;
+  }
 }
 
-void decision_cache::svc_index_remove(lru_list::iterator it) {
-  auto bit = by_service_.find(it->key.service);
-  bit->second.erase(it->svc_it);
-  if (bit->second.empty()) by_service_.erase(bit);
+void decision_cache::index_add(std::uint32_t n) {
+  std::size_t i = nodes_[n].hash & index_mask_;
+  while (index_[i] != 0) i = (i + 1) & index_mask_;
+  index_[i] = n + 1;
+}
+
+void decision_cache::index_remove(std::uint32_t n) {
+  std::size_t hole = nodes_[n].hash & index_mask_;
+  while (index_[hole] != n + 1) hole = (hole + 1) & index_mask_;
+  // Backward shift: a later member of the probe run moves into the hole
+  // unless its home slot lies between the hole and itself.
+  for (std::size_t j = (hole + 1) & index_mask_; index_[j] != 0; j = (j + 1) & index_mask_) {
+    const std::size_t home = nodes_[index_[j] - 1].hash & index_mask_;
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = 0;
+}
+
+void decision_cache::lru_unlink(std::uint32_t n) {
+  node& e = nodes_[n];
+  (e.prev == kNil ? head_ : nodes_[e.prev].next) = e.next;
+  (e.next == kNil ? tail_ : nodes_[e.next].prev) = e.prev;
+}
+
+void decision_cache::lru_push_front(std::uint32_t n) {
+  node& e = nodes_[n];
+  e.prev = kNil;
+  e.next = head_;
+  (head_ == kNil ? tail_ : nodes_[head_].prev) = n;
+  head_ = n;
+}
+
+void decision_cache::lru_bump(std::uint32_t n) {
+  if (n == head_) return;
+  lru_unlink(n);
+  lru_push_front(n);
+}
+
+void decision_cache::svc_link(std::uint32_t n) {
+  node& e = nodes_[n];
+  e.svc_prev = kNil;
+  std::uint32_t* head = svc_heads_.find(e.key.service);
+  if (head == nullptr) {
+    e.svc_next = kNil;
+    svc_heads_.insert(e.key.service, n);
+    return;
+  }
+  e.svc_next = *head;
+  nodes_[*head].svc_prev = n;
+  *head = n;
+}
+
+void decision_cache::svc_unlink(std::uint32_t n) {
+  const node& e = nodes_[n];
+  if (e.svc_next != kNil) nodes_[e.svc_next].svc_prev = e.svc_prev;
+  if (e.svc_prev != kNil) {
+    nodes_[e.svc_prev].svc_next = e.svc_next;
+  } else if (e.svc_next == kNil) {
+    svc_heads_.erase(e.key.service);  // the service's last entry
+  } else {
+    *svc_heads_.find(e.key.service) = e.svc_next;
+  }
+}
+
+void decision_cache::remove(std::uint32_t n) {
+  index_remove(n);
+  lru_unlink(n);
+  svc_unlink(n);
+  nodes_[n].next = free_;
+  free_ = n;
+  --size_;
+}
+
+std::uint32_t decision_cache::acquire() {
+  if (free_ == kNil && used_ == capacity_) {
+    remove(tail_);  // at capacity: evict the LRU entry and reuse its node
+    ++stats_.evictions;
+  }
+  if (free_ == kNil) {
+    std::construct_at(nodes_ + used_);
+    return used_++;
+  }
+  const std::uint32_t n = free_;
+  free_ = nodes_[n].next;
+  return n;
+}
+
+std::uint32_t decision_cache::insert_hashed(const cache_key& key, std::uint64_t hash,
+                                            decision d) {
+  const time_point expires =
+      (clock_ && d.ttl.count() > 0) ? clock_->now() + d.ttl : time_point::max();
+  ++stats_.inserts;
+  std::uint32_t n = find(key, hash);
+  if (n != kNil) {
+    nodes_[n].value = d;
+    nodes_[n].expires = expires;
+    lru_bump(n);
+    return n;
+  }
+  n = acquire();
+  node& e = nodes_[n];
+  e.hash = hash;
+  e.key = key;
+  e.value = d;
+  e.hits = 0;
+  e.expires = expires;
+  index_add(n);
+  lru_push_front(n);
+  svc_link(n);
+  ++size_;
+  return n;
 }
 
 std::optional<decision> decision_cache::lookup(const cache_key& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  const std::uint32_t n = find(key, cache_key_hash(hash_key_, key));
+  if (n == kNil) {
     ++stats_.misses;
     return std::nullopt;
   }
-  if (clock_ && expired_at(*it->second, clock_->now())) {
-    svc_index_remove(it->second);
-    entries_.erase(it->second);
-    index_.erase(it);
+  node& e = nodes_[n];
+  if (expired_now(e)) {
+    remove(n);
     ++stats_.expired;
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  ++it->second->hits;
-  entries_.splice(entries_.begin(), entries_, it->second);  // bump recency
-  return it->second->value;
+  ++e.hits;
+  lru_bump(n);
+  return e.value;
 }
 
 bool decision_cache::contains(const cache_key& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  return !(clock_ && expired_at(*it->second, clock_->now()));
+  const std::uint32_t n = find(key, cache_key_hash(hash_key_, key));
+  return n != kNil && !expired_now(nodes_[n]);
 }
 
 void decision_cache::insert(const cache_key& key, decision d) {
-  const time_point expires =
-      (clock_ && d.ttl.count() > 0) ? clock_->now() + d.ttl : time_point::max();
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->value = std::move(d);
-    it->second->expires = expires;
-    entries_.splice(entries_.begin(), entries_, it->second);
-    ++stats_.inserts;
-    return;
-  }
-  if (entries_.size() >= capacity_) {
-    // Recycle the LRU node in place instead of pop+push: an insert at
-    // capacity (the steady state) performs no list-node allocation. The
-    // victim may belong to a different service, so its secondary-index
-    // slot moves too.
-    auto victim = std::prev(entries_.end());
-    svc_index_remove(victim);
-    index_.erase(victim->key);
-    victim->key = key;
-    victim->value = std::move(d);
-    victim->hits = 0;
-    victim->expires = expires;
-    entries_.splice(entries_.begin(), entries_, victim);
-    index_[key] = entries_.begin();
-    svc_index_add(entries_.begin());
-    ++stats_.evictions;
-    ++stats_.inserts;
-    return;
-  }
-  entries_.push_front(entry{key, std::move(d), 0, expires, {}});
-  index_[key] = entries_.begin();
-  svc_index_add(entries_.begin());
-  ++stats_.inserts;
+  insert_hashed(key, cache_key_hash(hash_key_, key), d);
 }
 
 bool decision_cache::erase(const cache_key& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  svc_index_remove(it->second);
-  entries_.erase(it->second);
-  index_.erase(it);
+  const std::uint32_t n = find(key, cache_key_hash(hash_key_, key));
+  if (n == kNil) return false;
+  remove(n);
   ++stats_.invalidations;
   return true;
 }
 
 std::size_t decision_cache::erase_connection(ilp::service_id service,
                                              ilp::connection_id connection) {
-  auto bit = by_service_.find(service);
-  if (bit == by_service_.end()) return 0;
+  const std::uint32_t* head = svc_heads_.find(service);
+  if (head == nullptr) return 0;
   std::size_t erased = 0;
-  svc_bucket& bucket = bit->second;
-  for (auto sit = bucket.begin(); sit != bucket.end();) {
-    const lru_list::iterator lit = *sit;
-    if (lit->key.connection == connection) {
-      index_.erase(lit->key);
-      entries_.erase(lit);
-      sit = bucket.erase(sit);
+  for (std::uint32_t n = *head; n != kNil;) {
+    const std::uint32_t next = nodes_[n].svc_next;
+    if (nodes_[n].key.connection == connection) {
+      remove(n);
       ++erased;
-    } else {
-      ++sit;
     }
+    n = next;
   }
-  if (bucket.empty()) by_service_.erase(bit);
   stats_.invalidations += erased;
   return erased;
 }
 
 std::size_t decision_cache::erase_service(ilp::service_id service) {
-  auto bit = by_service_.find(service);
-  if (bit == by_service_.end()) return 0;
+  const std::uint32_t* head = svc_heads_.find(service);
+  if (head == nullptr) return 0;
   std::size_t erased = 0;
-  for (const lru_list::iterator lit : bit->second) {
-    index_.erase(lit->key);
-    entries_.erase(lit);
-    ++erased;
+  for (std::uint32_t n = *head; n != kNil; ++erased) {
+    const std::uint32_t next = nodes_[n].svc_next;
+    remove(n);
+    n = next;
   }
-  by_service_.erase(bit);
   stats_.invalidations += erased;
   return erased;
 }
 
 std::size_t decision_cache::erase_forwards_to(peer_id hop) {
   std::size_t erased = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const bool names_hop =
-        it->value.kind == decision::verdict::forward &&
-        std::find(it->value.next_hops.begin(), it->value.next_hops.end(), hop) !=
-            it->value.next_hops.end();
-    if (names_hop) {
-      svc_index_remove(it);
-      index_.erase(it->key);
-      it = entries_.erase(it);
+  for (std::uint32_t n = head_; n != kNil;) {
+    const std::uint32_t next = nodes_[n].next;
+    const decision& v = nodes_[n].value;
+    if (v.kind == decision::verdict::forward &&
+        std::find(v.next_hops.begin(), v.next_hops.end(), hop) != v.next_hops.end()) {
+      remove(n);
       ++erased;
-    } else {
-      ++it;
     }
+    n = next;
   }
   stats_.invalidations += erased;
   return erased;
 }
 
 void decision_cache::clear() {
-  stats_.invalidations += entries_.size();
-  entries_.clear();
-  index_.clear();
-  by_service_.clear();
+  stats_.invalidations += size_;
+  std::fill_n(index_.get(), index_mask_ + 1, 0u);
+  svc_heads_.clear();
+  used_ = 0;
+  free_ = head_ = tail_ = kNil;
+  size_ = 0;
 }
 
 std::uint64_t decision_cache::hit_count(const cache_key& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return 0;
-  if (clock_ && expired_at(*it->second, clock_->now())) return 0;
-  return it->second->hits;
+  const std::uint32_t n = find(key, cache_key_hash(hash_key_, key));
+  if (n == kNil || expired_now(nodes_[n])) return 0;
+  return nodes_[n].hits;
 }
 
 std::size_t decision_cache::purge_expired() {
   if (!clock_) return 0;
   const time_point now = clock_->now();
   std::size_t purged = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (expired_at(*it, now)) {
-      svc_index_remove(it);
-      index_.erase(it->key);
-      it = entries_.erase(it);
+  for (std::uint32_t n = head_; n != kNil;) {
+    const std::uint32_t next = nodes_[n].next;
+    if (expired_at(nodes_[n], now)) {
+      remove(n);
       ++purged;
-    } else {
-      ++it;
     }
+    n = next;
   }
   stats_.expired += purged;
   return purged;
@@ -209,14 +274,14 @@ bytes decision_cache::snapshot(time_point now) const {
   w.u8(1);  // snapshot format version
   // Count live entries first (expired ones are omitted).
   std::uint64_t live = 0;
-  for (const entry& e : entries_) {
-    if (!expired_at(e, now)) ++live;
+  for (std::uint32_t n = head_; n != kNil; n = nodes_[n].next) {
+    if (!expired_at(nodes_[n], now)) ++live;
   }
   w.varint(live);
   // LRU-first so restore's inserts replay recency in order and the MRU
   // entry lands at the front again.
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    const entry& e = *it;
+  for (std::uint32_t n = tail_; n != kNil; n = nodes_[n].prev) {
+    const node& e = nodes_[n];
     if (expired_at(e, now)) continue;
     w.u64(e.key.l3_src);
     w.u32(e.key.service);
@@ -253,12 +318,10 @@ std::size_t decision_cache::restore_warm(const_byte_span data, time_point now) {
     if (hop_count > kMaxNextHops) throw serial_error("decision_cache snapshot: too many next hops");
     for (std::uint64_t h = 0; h < hop_count; ++h) d.next_hops.push_back(r.u64());
     d.ttl = nanoseconds(static_cast<std::int64_t>(remaining_ns));
-    insert(key, std::move(d));
-    // insert() computes expires = now + remaining and zeroes the hit
+    // The insert computes expires = now + remaining and zeroes the hit
     // count; re-apply the snapshot's count so Appendix B queries see the
     // pre-failover value.
-    auto it = index_.find(key);
-    if (it != index_.end()) it->second->hits = hits;
+    nodes_[insert_hashed(key, cache_key_hash(hash_key_, key), d)].hits = hits;
     ++restored;
   }
   (void)now;

@@ -14,17 +14,23 @@
 // force pathological collisions. The same keyed hash drives flow_steerer,
 // which assigns flows to worker shards in the multi-core datapath — one
 // flow's packets always land on one shard (DESIGN.md §9).
+//
+// Layout: one flat table sized at construction (DESIGN.md §17). Entries
+// live in a node array threaded by u32 links into the LRU list, a free
+// list and one list per service; a linear-probe index of node numbers at
+// most half full finds them. Each node keeps its key's hash, so a hit
+// hashes once, a miss plus its insert twice, and evictions, erases and
+// purges never hash at all.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/flat_hash.h"
 #include "common/ring.h"
 #include "core/packet.h"
 #include "crypto/siphash.h"
@@ -35,8 +41,13 @@ namespace interedge::core {
 // derived from a 64-bit seed (sn_config.cache_hash_seed).
 crypto::siphash_key cache_hash_key(std::uint64_t seed);
 
-// SipHash of the packed (l3_src, service, connection) tuple.
-std::uint64_t cache_key_hash(const crypto::siphash_key& k, const cache_key& key);
+// SipHash-2-4 of the 20 packed little-endian bytes (l3_src, service,
+// connection), computed from three words: the bytes are never assembled.
+inline std::uint64_t cache_key_hash(const crypto::siphash_key_words& k, const cache_key& key) {
+  return crypto::siphash24_words(k, key.l3_src,
+                                 static_cast<std::uint64_t>(key.service) | (key.connection << 32),
+                                 (key.connection >> 32) | (std::uint64_t{20} << 56));
+}
 
 struct cache_stats {
   std::uint64_t hits = 0;
@@ -50,12 +61,16 @@ struct cache_stats {
 class decision_cache {
  public:
   explicit decision_cache(std::size_t capacity, std::uint64_t hash_seed = 0);
+  ~decision_cache();
+  decision_cache(const decision_cache&) = delete;
+  decision_cache& operator=(const decision_cache&) = delete;
 
   // Arms per-entry TTLs: inserts whose decision carries ttl > 0 expire
   // that long after insertion. Without a clock TTLs are ignored and
   // entries live until LRU eviction/invalidation, as before. The clock
   // must outlive the cache; a worker shard may read it while another
-  // thread advances it (manual_clock is atomic).
+  // thread advances it (manual_clock is atomic). Only entries with a TTL
+  // make a lookup read it.
   void set_clock(const clock* clk) { clock_ = clk; }
 
   // Looks up a decision; bumps recency and the entry's hit count. An
@@ -71,7 +86,7 @@ class decision_cache {
   bool erase(const cache_key& key);
   // Drops every entry for (service, connection) regardless of L3 source —
   // used when a service tears down a connection. O(entries of that
-  // service) via the secondary index, not O(cache size).
+  // service) via the per-service lists, not O(cache size).
   std::size_t erase_connection(ilp::service_id service, ilp::connection_id connection);
   // Drops every entry installed by a service (service reconfiguration).
   std::size_t erase_service(ilp::service_id service);
@@ -100,42 +115,60 @@ class decision_cache {
   // Appendix B hit-count API. 0 if the entry is not resident.
   std::uint64_t hit_count(const cache_key& key) const;
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   const cache_stats& stats() const { return stats_; }
 
  private:
-  struct entry;
-  using lru_list = std::list<entry>;
-  // Secondary index: service -> its resident entries, so slow-path
-  // invalidations (erase_connection / erase_service) never scan the whole
-  // LRU list (ISSUE 3 satellite: at 1M entries a linear scan stalls the
-  // shard).
-  using svc_bucket = std::list<lru_list::iterator>;
-  struct entry {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct node {
+    std::uint64_t hash = 0;
     cache_key key;
     decision value;
     std::uint64_t hits = 0;
     time_point expires = time_point::max();  // max() = no TTL
-    svc_bucket::iterator svc_it{};  // back-pointer into by_service_[key.service]
-  };
-  struct key_hash {
-    crypto::siphash_key seed;
-    std::size_t operator()(const cache_key& k) const {
-      return static_cast<std::size_t>(cache_key_hash(seed, k));
-    }
+    std::uint32_t prev = kNil;  // LRU list: prev is more recent; next also links the free list
+    std::uint32_t next = kNil;
+    std::uint32_t svc_prev = kNil;  // the list of key.service's entries
+    std::uint32_t svc_next = kNil;
   };
 
-  void svc_index_add(lru_list::iterator it);
-  void svc_index_remove(lru_list::iterator it);
-  bool expired_at(const entry& e, time_point now) const {
-    return e.expires != time_point::max() && now >= e.expires;
+  bool expired_at(const node& n, time_point now) const {
+    return n.expires != time_point::max() && now >= n.expires;
   }
+  // Reads the clock only for an entry that carries a TTL.
+  bool expired_now(const node& n) const {
+    return clock_ != nullptr && n.expires != time_point::max() && clock_->now() >= n.expires;
+  }
+  std::uint32_t find(const cache_key& key, std::uint64_t hash) const;
+  std::uint32_t insert_hashed(const cache_key& key, std::uint64_t hash, decision d);
+  // A node for a new entry: a freed one, then one never used, then the LRU
+  // entry (an eviction).
+  std::uint32_t acquire();
+  void remove(std::uint32_t n);  // unlinks n everywhere and frees it
+  void index_add(std::uint32_t n);
+  void index_remove(std::uint32_t n);
+  void lru_unlink(std::uint32_t n);
+  void lru_push_front(std::uint32_t n);
+  void lru_bump(std::uint32_t n);  // makes n the most recent
+  void svc_link(std::uint32_t n);
+  void svc_unlink(std::uint32_t n);
 
-  lru_list entries_;  // front = most recent
-  std::unordered_map<cache_key, lru_list::iterator, key_hash> index_;
-  std::unordered_map<ilp::service_id, svc_bucket> by_service_;
   std::size_t capacity_;
+  crypto::siphash_key_words hash_key_;
+  // Raw storage for capacity_ nodes: a node is first written when first
+  // used, so an idle cache touches none of it.
+  node* nodes_ = nullptr;
+  std::uint32_t used_ = 0;  // nodes [0, used_) have been written
+  std::uint32_t free_ = kNil;
+  std::uint32_t head_ = kNil;  // most recent
+  std::uint32_t tail_ = kNil;  // least recent: the next victim
+  std::size_t size_ = 0;
+  // Linear-probe index at most half full: node number + 1, 0 = empty.
+  std::unique_ptr<std::uint32_t[]> index_;
+  std::size_t index_mask_ = 0;
+  flat_hash64<std::uint32_t> svc_heads_;  // service -> first node of its list
   const clock* clock_ = nullptr;
   cache_stats stats_;
 };
@@ -148,7 +181,7 @@ class decision_cache {
 class flow_steerer {
  public:
   flow_steerer(std::uint64_t seed, std::size_t shards)
-      : key_(cache_hash_key(seed)), shards_(shards == 0 ? 1 : shards) {}
+      : key_(crypto::load_key(cache_hash_key(seed))), shards_(shards == 0 ? 1 : shards) {}
 
   std::size_t shard_of(const cache_key& key) const {
     return static_cast<std::size_t>(cache_key_hash(key_, key) % shards_);
@@ -156,7 +189,7 @@ class flow_steerer {
   std::size_t shards() const { return shards_; }
 
  private:
-  crypto::siphash_key key_;
+  crypto::siphash_key_words key_;
   std::size_t shards_;
 };
 

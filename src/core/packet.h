@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -47,39 +48,52 @@ struct cache_key {
   bool operator==(const cache_key&) const = default;
 };
 
+// A list of at most N values stored inline, so that copying one never
+// allocates. Used for a decision's next hops and a module's cache inserts.
+template <typename T, std::size_t N>
+class inline_list {
+  static_assert(N <= 255, "the size is kept in one byte");
+
+ public:
+  inline_list() = default;
+  // Throws std::invalid_argument past N.
+  inline_list(std::initializer_list<T> items) {
+    for (const T& item : items) push_back(item);
+  }
+
+  // Throws std::invalid_argument when the list already holds N values.
+  void push_back(const T& item) {
+    if (size_ == N) throw std::invalid_argument("inline_list: more than its capacity");
+    items_[size_++] = item;
+  }
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    push_back(T(std::forward<Args>(args)...));
+  }
+  void clear() { size_ = 0; }
+
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  bool operator==(const inline_list& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  std::array<T, N> items_{};
+  std::uint8_t size_ = 0;
+};
+
 // Most next hops one decision carries. Every service builds single-hop
 // verdicts; wider fan-outs (pub/sub, multicast) leave through
 // module_result::sends instead.
 inline constexpr std::size_t kMaxNextHops = 4;
 
-// A decision's next hops, stored inline so that copying a decision never
-// allocates.
-class hop_list {
- public:
-  hop_list() = default;
-  // Throws std::invalid_argument past kMaxNextHops.
-  hop_list(std::initializer_list<peer_id> hops) {
-    for (const peer_id hop : hops) push_back(hop);
-  }
-
-  // Throws std::invalid_argument when the list already holds kMaxNextHops.
-  void push_back(peer_id hop) {
-    if (size_ == kMaxNextHops) throw std::invalid_argument("decision: too many next hops");
-    hops_[size_++] = hop;
-  }
-
-  const peer_id* begin() const { return hops_.data(); }
-  const peer_id* end() const { return hops_.data() + size_; }
-  std::size_t size() const { return size_; }
-
-  bool operator==(const hop_list& o) const {
-    return std::equal(begin(), end(), o.begin(), o.end());
-  }
-
- private:
-  std::array<peer_id, kMaxNextHops> hops_{};
-  std::uint8_t size_ = 0;
-};
+// A decision's next hops.
+using hop_list = inline_list<peer_id, kMaxNextHops>;
 
 // A match-action decision. "The decision can specify multiple forwarding
 // destinations, in which case a copy of the packet is forwarded to each."

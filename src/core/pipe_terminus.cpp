@@ -1,5 +1,7 @@
 #include "core/pipe_terminus.h"
 
+#include <stdexcept>
+
 #include "common/logging.h"
 #include "common/prof.h"
 
@@ -55,7 +57,7 @@ void pipe_terminus::flush_telemetry() {
   m_dropped_->add(stats_.dropped - flushed_.dropped);
   m_backpressure_->add(stats_.backpressure - flushed_.backpressure);
   m_shed_->add(stats_.shed - flushed_.shed);
-  m_inflight_->set(static_cast<std::int64_t>(in_flight_.size()));
+  m_inflight_->set(static_cast<std::int64_t>(in_flight_));
   flushed_ = stats_;
 }
 
@@ -71,7 +73,7 @@ void pipe_terminus::shed_packet(peer_id l3_src, const ilp::ilp_header& header,
   ++stats_.shed;
   IE_LOG(debug) << "terminus" << kv("shed", ilp::svc::name(header.service))
                 << kv("conn", header.connection)
-                << kv("in_flight", in_flight_.size());
+                << kv("in_flight", in_flight_);
   apply_or_trace(d, header, payload, sampled, trace::kAnnoShed);
 }
 
@@ -225,28 +227,23 @@ void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
     }
 
     ++stats_.slow_path;
-    slowpath_request req;
-    req.token = next_token_++;
-    req.l3_src = pkt.l3_src;
-    req.deadline_ns = deadline_for_now();
-    req.header_bytes = pkt.header.encode();
-    // Services like caching need the payload; §4 fidelity note in DESIGN.md.
-    req.payload.assign(pkt.payload.begin(), pkt.payload.end());
-
-    const std::uint64_t token = req.token;
-    if (!submit_bounded(req, is_control)) {
+    // The slot outlives the batch, so the packet detouring there is copied
+    // in. Services like caching need the payload; §4 fidelity note in
+    // DESIGN.md.
+    pending& p = claim_slot();
+    p.pkt.l3_src = pkt.l3_src;
+    p.pkt.header = std::move(pkt.header);
+    p.pkt.payload.assign(pkt.payload.begin(), pkt.payload.end());
+    const auto ptc = sampled_ctx(p.pkt.header);
+    p.tc = ptc.value_or(trace::trace_context{});
+    p.trace_start_ns = ptc ? path_rec_->now() : 0;
+    if (!submit_bounded(slowpath_request{p.token, deadline_for_now(), &p.pkt}, is_control)) {
       // Channel stayed full through the retry budget: shed instead of
       // blocking the fast path behind a wedged slow path.
-      shed_packet(pkt.l3_src, pkt.header, pkt.payload, sampled);
+      shed_packet(p.pkt.l3_src, p.pkt.header, p.pkt.payload, sampled);
+      release_slot(p);
       continue;
     }
-    // The pending table outlives the batch, so the packet detouring there
-    // is copied into an owned packet.
-    auto ptc = sampled_ctx(pkt.header);
-    in_flight_.emplace(token, pending{packet{pkt.l3_src, std::move(pkt.header),
-                                             bytes(pkt.payload.begin(), pkt.payload.end())},
-                                      ptc.value_or(trace::trace_context{}),
-                                      ptc ? path_rec_->now() : 0});
     submitted = true;
   }
 
@@ -263,24 +260,48 @@ void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
   }
 }
 
+pipe_terminus::pending& pipe_terminus::claim_slot() {
+  std::uint32_t index;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (slots_.size() > kSlotMask) throw std::length_error("pipe_terminus: slow path full");
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  claims_ = (claims_ + 1) & kClaimMask;
+  if (claims_ == 0) claims_ = 1;  // a token is never 0, a free slot's mark
+  pending& p = slots_[index];
+  p.token = token_seed_ | (claims_ << kSlotBits) | index;
+  ++in_flight_;
+  return p;
+}
+
+void pipe_terminus::release_slot(pending& p) {
+  free_slots_.push_back(static_cast<std::uint32_t>(p.token & kSlotMask));
+  p.token = 0;
+  --in_flight_;
+}
+
 std::size_t pipe_terminus::pump() {
   std::size_t applied = 0;
   while (auto resp = channel_.poll()) {
-    complete(std::move(*resp));
+    complete(*resp);
     ++applied;
   }
   return applied;
 }
 
-void pipe_terminus::complete(slowpath_response resp) {
-  auto it = in_flight_.find(resp.token);
-  if (it == in_flight_.end()) return;  // spurious / duplicate token
-  pending p = std::move(it->second);
-  in_flight_.erase(it);
+void pipe_terminus::complete(slowpath_response& resp) {
+  const std::uint64_t index = resp.token & kSlotMask;
+  // An unknown token, or one whose slot has completed or moved on.
+  if (resp.token == 0 || index >= slots_.size() || slots_[index].token != resp.token) return;
+  pending& p = slots_[index];
+  p.token = 0;  // from here a duplicate of this response is ignored
+  --in_flight_;
 
-  for (auto& [key, value] : resp.cache_inserts) {
-    cache_.insert(key, std::move(value));
-  }
+  for (const auto& [key, value] : resp.cache_inserts) cache_.insert(key, value);
 
   if (p.trace_start_ns != 0 && path_rec_ != nullptr) {
     // The hop_slow span id is allocated up front so the service-generated
@@ -311,14 +332,15 @@ void pipe_terminus::complete(slowpath_response resp) {
     }
     apply_with_path(resp.verdict, p.pkt.header, p.pkt.payload, p.tc, resp.annotations,
                     trace::span_kind::hop_slow, p.trace_start_ns, span_id);
-    return;
+  } else {
+    for (const outbound& o : resp.sends) {
+      forward_(o.to, o.header, o.payload);
+      ++stats_.forwarded;
+    }
+    apply(resp.verdict, p.pkt.header, p.pkt.payload);
   }
-
-  for (const outbound& o : resp.sends) {
-    forward_(o.to, o.header, o.payload);
-    ++stats_.forwarded;
-  }
-  apply(resp.verdict, p.pkt.header, p.pkt.payload);
+  // Claimable again only now: its packet was in use until here.
+  free_slots_.push_back(static_cast<std::uint32_t>(index));
 }
 
 void pipe_terminus::apply_traced(const decision& d, const ilp::ilp_header& header,

@@ -9,16 +9,19 @@
 //      module requested.
 //
 // The channel may be asynchronous (service on another thread/process), so
-// the terminus keeps a bounded in-flight table and drains completions via
-// pump(). With the inline channel a submit completes immediately and
-// handle_batch() drains it before returning.
+// the terminus parks each slow-path packet in a pending slot, hands the
+// channel a pointer to it, and drains completions via pump(). With the
+// inline channel a submit completes immediately and handle_batch() drains
+// it before returning.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -75,10 +78,10 @@ class pipe_terminus {
   // packet entry; one packet is a batch of one. Payload spans alias
   // ingress buffers owned by the caller, valid for the duration of the
   // call. The fast path never copies a byte; only packets detouring to the
-  // slow path (the in-flight pending table outlives the batch) are copied
-  // into owned packets. Consecutive packets sharing a cache key reuse one
-  // decision-cache lookup (one recency bump per run — the cache is soft
-  // state, so batched accounting is within its contract), and the
+  // slow path are copied, into their pending slot (it outlives the batch).
+  // Consecutive packets sharing a cache key reuse one decision-cache
+  // lookup (one recency bump per run — the cache is soft state, so
+  // batched accounting is within its contract), and the
   // slow-path channel is drained once at the end of the batch instead of
   // once per packet. Headers are consumed (moved from).
   void handle_batch(std::span<packet_view> pkts);
@@ -112,10 +115,10 @@ class pipe_terminus {
     shed_verdicts_[service] = std::move(d);
   }
 
-  // Seeds the slow-path token counter. The sharded datapath gives each
-  // shard's terminus a disjoint token range (slowpath_hub::token_seed) so
-  // the hub can route a response back to the terminus that issued it.
-  void set_token_seed(std::uint64_t seed) { next_token_ = seed; }
+  // Sets the top bits of every slow-path token. The sharded datapath gives
+  // each shard's terminus a disjoint token range (slowpath_hub::token_seed)
+  // so the hub can route a response back to the terminus that issued it.
+  void set_token_seed(std::uint64_t seed) { token_seed_ = seed; }
 
   // Invoked on every submit retry while the slow-path channel is full, in
   // addition to pump(). A worker shard uses it to keep servicing its other
@@ -127,8 +130,8 @@ class pipe_terminus {
   }
 
   // True while slow-path responses are outstanding.
-  bool busy() const { return !in_flight_.empty(); }
-  std::size_t in_flight() const { return in_flight_.size(); }
+  bool busy() const { return in_flight_ != 0; }
+  std::size_t in_flight() const { return in_flight_; }
 
   const terminus_stats& stats() const { return stats_; }
 
@@ -142,12 +145,24 @@ class pipe_terminus {
  private:
   // A slow-path packet parked until its response arrives; trace_start_ns
   // is 0 unless the packet carries a sampled trace context, in which case
-  // the eventual hop_slow span covers submit → completed verdict.
+  // the eventual hop_slow span covers submit → completed verdict. The
+  // slot's payload keeps its capacity across uses, so parking a packet is
+  // one copy and no allocation.
   struct pending {
     packet pkt;
     trace::trace_context tc{};
     std::uint64_t trace_start_ns = 0;
+    std::uint64_t token = 0;  // 0 while the slot is free
   };
+
+  // A token names its slot: bits 0-23 the slot index, bits 24-47 a claim
+  // count that tells a stale response from the slot's current one, and
+  // the bits above the token seed (slowpath_hub's shard).
+  static constexpr int kSlotBits = 24;
+  static constexpr int kClaimBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kClaimMask = (std::uint64_t{1} << kClaimBits) - 1;
+  static_assert(kSlotBits + kClaimBits <= slowpath_hub::kShardTokenShift);
 
   void apply(const decision& d, const ilp::ilp_header& header, const_byte_span payload);
   // apply() plus sampled emit-stage timing and a ring capture.
@@ -171,9 +186,14 @@ class pipe_terminus {
   void apply_with_path(const decision& d, const ilp::ilp_header& header, const_byte_span payload,
                        const trace::trace_context& tc, std::uint16_t anno,
                        trace::span_kind kind, std::uint64_t start_ns, std::uint64_t span_id);
-  void complete(slowpath_response resp);
+  void complete(slowpath_response& resp);
+  // A free slot with a fresh token; adds a slot when none is free.
+  pending& claim_slot();
+  // Frees the slot of a packet that shed instead of being submitted.
+  // complete() frees the others.
+  void release_slot(pending& p);
   bool should_shed() const {
-    return policy_.high_water > 0 && in_flight_.size() >= policy_.high_water;
+    return policy_.high_water > 0 && in_flight_ >= policy_.high_water;
   }
   // Installs the service's default verdict (TTL'd) and applies it now.
   void shed_packet(peer_id l3_src, const ilp::ilp_header& header, const_byte_span payload,
@@ -192,8 +212,14 @@ class pipe_terminus {
   slowpath_channel& channel_;
   forward_fn forward_;
   std::function<void()> backpressure_hook_;
-  std::unordered_map<std::uint64_t, pending> in_flight_;
-  std::uint64_t next_token_ = 1;
+  // Pending slots, found from a response's token by index. A deque never
+  // moves its elements as it grows, so a request's packet pointer stays
+  // valid while the slot array grows past the number in flight.
+  std::deque<pending> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t in_flight_ = 0;
+  std::uint64_t token_seed_ = 0;
+  std::uint64_t claims_ = 0;
   terminus_stats stats_;
   terminus_stats flushed_;  // watermark of stats already in the metric handles
   slowpath_policy policy_;

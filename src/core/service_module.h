@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -39,11 +40,19 @@ struct outbound {
   bytes payload;
 };
 
+// Most decision-cache entries one module call installs. Every service
+// installs at most one, for the packet's own flow.
+inline constexpr std::size_t kMaxCacheInserts = 1;
+// A module's cache inserts, stored inline so that a slow-path round trip
+// does not allocate. A module that adds more than kMaxCacheInserts throws,
+// and the execution environment drops the packet as a module error.
+using cache_insert_list = inline_list<std::pair<cache_key, decision>, kMaxCacheInserts>;
+
 // What a module returns from on_packet.
 struct module_result {
   decision verdict = decision::drop_packet();
   // Decision-cache entries the module wants installed (Appendix B).
-  std::vector<std::pair<cache_key, decision>> cache_inserts;
+  cache_insert_list cache_inserts;
   // Extra packets to emit.
   std::vector<outbound> sends;
 

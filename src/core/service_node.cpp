@@ -37,8 +37,8 @@ inline void spin_pause() {
 slowpath_response to_response(std::uint64_t token, module_result result) {
   slowpath_response resp;
   resp.token = token;
-  resp.verdict = std::move(result.verdict);
-  resp.cache_inserts = std::move(result.cache_inserts);
+  resp.verdict = result.verdict;
+  resp.cache_inserts = result.cache_inserts;
   resp.sends = std::move(result.sends);
   return resp;
 }
@@ -91,7 +91,7 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
       ingress_pool_(ingress_pool_config(config)) {
   env_ = std::make_unique<exec_env>(*this);
   channel_ = std::make_unique<inline_channel>(
-      [this](slowpath_request req) { return handle_slowpath(std::move(req)); });
+      [this](slowpath_request req) { return handle_slowpath(req); });
   terminus_ = std::make_unique<pipe_terminus>(
       cache_, *channel_,
       [this](peer_id to, const ilp::ilp_header& header, const_byte_span payload) {
@@ -218,7 +218,7 @@ void service_node::start_workers() {
   steerer_ = std::make_unique<flow_steerer>(config_.cache_hash_seed, n);
   bus_ = std::make_unique<cache_invalidation_bus>(n);
   hub_ = std::make_unique<slowpath_hub>(
-      [this](slowpath_request req) { return handle_slowpath(std::move(req)); }, n, 1024,
+      [this](slowpath_request req) { return handle_slowpath(req); }, n, 1024,
       [this](std::size_t s) { wake_shard(s); });
   // Requests that age out while queued in the hub rings expire there (the
   // handler-side check in handle_slowpath covers the inline mode).
@@ -750,7 +750,7 @@ void service_node::schedule_stats_tick(
   });
 }
 
-slowpath_response service_node::handle_slowpath(slowpath_request req) {
+slowpath_response service_node::handle_slowpath(const slowpath_request& req) {
   prof::cycle_scope sc(prof::cycle_stage::slowpath);
   // Deadline gate: a request that aged past its budget (e.g. behind a
   // slow module) is dropped rather than dispatched — its sender has long
@@ -764,15 +764,7 @@ slowpath_response service_node::handle_slowpath(slowpath_request req) {
     resp.annotations |= trace::kAnnoDeadlineExpired;
     return resp;
   }
-  packet pkt;
-  pkt.l3_src = req.l3_src;
-  try {
-    pkt.header = ilp::ilp_header::decode(req.header_bytes);
-  } catch (const serial_error&) {
-    IE_LOG(warn) << "service_node " << config_.id << ": undecodable slow-path header";
-    return to_response(req.token, module_result::drop());
-  }
-  pkt.payload = std::move(req.payload);
+  const packet& pkt = *req.pkt;
   // Service-dispatch span for traced packets: the time a module spent on
   // this request, distinct from the hop_slow span (which also covers ring
   // queueing). Parented on the upstream span — the hop_slow span id is not

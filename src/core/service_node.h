@@ -453,7 +453,7 @@ class service_node final : public node_services {
     std::vector<packet_view> view_pkt_scratch;
   };
 
-  slowpath_response handle_slowpath(slowpath_request req);
+  slowpath_response handle_slowpath(const slowpath_request& req);
   // Emits a trace_id == 0 node event span (peer-down, failover, rekey) the
   // collector time-correlates with traces crossing this node. No-op with
   // path tracing disabled.

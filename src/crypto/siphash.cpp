@@ -2,42 +2,24 @@
 
 namespace interedge::crypto {
 namespace {
-std::uint64_t rotl(std::uint64_t x, int b) { return (x << b) | (x >> (64 - b)); }
-
 std::uint64_t load64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
 }
-
-// `inline` matters: at -O2 GCC otherwise keeps this out of line and pays a
-// call per round (two per 8-byte word, four more to finalize).
-inline void sipround(std::uint64_t& v0, std::uint64_t& v1, std::uint64_t& v2,
-                     std::uint64_t& v3) {
-  v0 += v1;
-  v1 = rotl(v1, 13);
-  v1 ^= v0;
-  v0 = rotl(v0, 32);
-  v2 += v3;
-  v3 = rotl(v3, 16);
-  v3 ^= v2;
-  v0 += v3;
-  v3 = rotl(v3, 21);
-  v3 ^= v0;
-  v2 += v1;
-  v1 = rotl(v1, 17);
-  v1 ^= v2;
-  v2 = rotl(v2, 32);
-}
 }  // namespace
 
+siphash_key_words load_key(const siphash_key& key) {
+  return {load64(key.data()), load64(key.data() + 8)};
+}
+
 std::uint64_t siphash24(const siphash_key& key, const_byte_span data) {
-  const std::uint64_t k0 = load64(key.data());
-  const std::uint64_t k1 = load64(key.data() + 8);
-  std::uint64_t v0 = 0x736f6d6570736575ull ^ k0;
-  std::uint64_t v1 = 0x646f72616e646f6dull ^ k1;
-  std::uint64_t v2 = 0x6c7967656e657261ull ^ k0;
-  std::uint64_t v3 = 0x7465646279746573ull ^ k1;
+  using detail::sipround;
+  const siphash_key_words k = load_key(key);
+  std::uint64_t v0 = 0x736f6d6570736575ull ^ k.k0;
+  std::uint64_t v1 = 0x646f72616e646f6dull ^ k.k1;
+  std::uint64_t v2 = 0x6c7967656e657261ull ^ k.k0;
+  std::uint64_t v3 = 0x7465646279746573ull ^ k.k1;
 
   const std::size_t full = data.size() / 8 * 8;
   for (std::size_t i = 0; i < full; i += 8) {

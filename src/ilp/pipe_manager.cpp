@@ -1,5 +1,8 @@
 #include "ilp/pipe_manager.h"
 
+#include <bit>
+#include <iterator>
+
 #include "common/logging.h"
 #include "common/serial.h"
 #include "crypto/random.h"
@@ -94,7 +97,7 @@ void pipe_manager::send_span(peer_id peer, const ilp_header& header, const_byte_
 
 void pipe_manager::on_datagram(peer_id peer, const_byte_span datagram) {
   if (datagram.empty()) {
-    reject(peer, "empty");
+    reject(peer, refusal::empty);
     return;
   }
   const auto kind = static_cast<msg_kind>(datagram[0]);
@@ -116,14 +119,30 @@ void pipe_manager::on_datagram(peer_id peer, const_byte_span datagram) {
       handle_keepalive_ack(peer, body);
       break;
     default:
-      reject(peer, "unknown-kind");
+      reject(peer, refusal::unknown_kind);
   }
 }
 
-void pipe_manager::reject(peer_id peer, const char* why, std::size_t n) {
+void pipe_manager::reject(peer_id peer, refusal why, std::size_t n) {
+  static constexpr const char* kRefusalNames[] = {
+      "empty",
+      "unknown-kind",
+      "malformed-handshake-init",
+      "malformed-handshake-resp",
+      "auth-reject",
+      "keepalive-auth-reject",
+      "keepalive-ack-auth-reject",
+  };
+  static_assert(std::size(kRefusalNames) == static_cast<std::size_t>(refusal::count));
   if (rejected_pkts_) rejected_pkts_->add(n);
-  IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer) << kv("drop", why)
-               << kv("pkts", n);
+  std::uint64_t& total = refused_[static_cast<std::size_t>(why)];
+  const std::uint64_t before = total;
+  total += n;
+  // Some power of two lies in (before, total].
+  if (std::bit_floor(total) <= before) return;
+  IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
+               << kv("drop", kRefusalNames[static_cast<std::size_t>(why)]) << kv("pkts", n)
+               << kv("total", total);
 }
 
 void pipe_manager::handle_init(peer_id peer, const_byte_span body) {
@@ -169,7 +188,7 @@ void pipe_manager::handle_init(peer_id peer, const_byte_span body) {
     establish(peer, keypair.secret, remote_pub, local_spi, remote_spi, /*initiator=*/false,
               std::move(queued));
   } catch (const serial_error&) {
-    reject(peer, "malformed-handshake-init");
+    reject(peer, refusal::malformed_handshake_init);
   }
 }
 
@@ -188,7 +207,7 @@ void pipe_manager::handle_resp(peer_id peer, const_byte_span body) {
     establish(peer, state.keypair.secret, remote_pub, state.local_spi, remote_spi,
               /*initiator=*/true, std::move(state.queued));
   } catch (const serial_error&) {
-    reject(peer, "malformed-handshake-resp");
+    reject(peer, refusal::malformed_handshake_resp);
   }
 }
 
@@ -267,7 +286,7 @@ void pipe_manager::flush_data_run_mut(peer_id peer, std::span<const byte_span> b
     return;
   }
   const std::size_t opened = it->second->decrypt_batch_mut(bodies, opened_scratch_);
-  if (opened < bodies.size()) reject(peer, "auth-reject", bodies.size() - opened);
+  if (opened < bodies.size()) reject(peer, refusal::auth, bodies.size() - opened);
   batch_scratch_.clear();
   for (auto& o : opened_scratch_) {
     if (o) batch_scratch_.push_back(std::move(*o));
@@ -288,7 +307,7 @@ void pipe_manager::handle_data(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    reject(peer, "auth-reject");
+    reject(peer, refusal::auth);
     return;
   }
   note_peer_alive(peer);  // authenticated traffic counts as liveness
@@ -345,7 +364,7 @@ void pipe_manager::handle_keepalive(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    reject(peer, "keepalive-auth-reject");
+    reject(peer, refusal::keepalive_auth);
     return;
   }
   note_peer_alive(peer);
@@ -364,7 +383,7 @@ void pipe_manager::handle_keepalive_ack(peer_id peer, const_byte_span body) {
   }
   auto opened = it->second->open(body);
   if (!opened) {
-    reject(peer, "keepalive-ack-auth-reject");
+    reject(peer, refusal::keepalive_ack_auth);
     return;
   }
   note_peer_alive(peer);

@@ -12,6 +12,7 @@
 // a real socket, or a benchmark loop.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -191,8 +192,21 @@ class pipe_manager {
 
   void start_handshake(peer_id peer);
   void flush_data_run_mut(peer_id peer, std::span<const byte_span> bodies);
-  // Counts `n` refused datagrams in ilp.rx.rejected and logs why.
-  void reject(peer_id peer, const char* why, std::size_t n = 1);
+  // Why a datagram was refused; indexes refused_ and kRefusalNames.
+  enum class refusal : std::uint8_t {
+    empty,
+    unknown_kind,
+    malformed_handshake_init,
+    malformed_handshake_resp,
+    auth,
+    keepalive_auth,
+    keepalive_ack_auth,
+    count
+  };
+  // Counts `n` refused datagrams in ilp.rx.rejected. Logs a reason's 1st,
+  // 2nd, 4th, 8th, ... refusal with its running total, so a hostile flood
+  // costs a counter add per datagram, not a formatted log line.
+  void reject(peer_id peer, refusal why, std::size_t n = 1);
   void handle_init(peer_id peer, const_byte_span body);
   void handle_resp(peer_id peer, const_byte_span body);
   void handle_data(peer_id peer, const_byte_span body);
@@ -216,6 +230,7 @@ class pipe_manager {
   rx_keys_fn rx_keys_;
   peer_status_fn peer_status_;
   counter* rejected_pkts_ = nullptr;  // auth/parse failures (see set_metrics)
+  std::array<std::uint64_t, static_cast<std::size_t>(refusal::count)> refused_{};
   counter* no_pipe_drops_ = nullptr;  // data before any pipe exists
   counter* peer_down_ = nullptr;
   counter* keepalive_sent_ = nullptr;

@@ -9,6 +9,12 @@
 // worker shard the budget is one allocation per packet: the owned payload
 // copy that a forward takes into the shard's egress ring.
 //
+// The miss arms hold the slow path to the same budget: a 64-entry cache
+// and 256 connections fed in order, so under LRU every connection's entry
+// is evicted before its next packet and every packet goes through the
+// delivery module — the pending slot, the upcall, the module's verdict and
+// cache insert, and an eviction.
+//
 // bench/alloc_counter.cpp replaces the global operator new for this
 // binary and counts every call, on every thread, while counting is on.
 #include <gtest/gtest.h>
@@ -41,6 +47,7 @@ constexpr std::size_t kBatch = 32;
 constexpr std::size_t kTraceEvery = 16;
 constexpr std::size_t kPayload = 64;
 constexpr std::size_t kCountedRounds = 16;  // 16 x 256 = 4096 packets
+constexpr std::size_t kMissCapacity = 64;   // < kConnections: every lookup misses
 
 // One SN with a sender and a sink peer, and one sealed delivery datagram
 // per connection. PSP keeps no replay window, so the same datagrams are
@@ -49,11 +56,14 @@ class sn_rig {
  public:
   // `byte_entry` feeds the datagrams through service_node::on_datagram, one
   // call per packet, instead of batches of slab views.
-  sn_rig(std::size_t workers, bool byte_entry) : byte_entry_(byte_entry) {
+  sn_rig(std::size_t workers, bool byte_entry,
+         std::size_t cache_capacity = sn_config{}.cache_capacity)
+      : byte_entry_(byte_entry) {
     sn_config cfg;
     cfg.id = kSn;
     cfg.edomain = 1;
     cfg.workers = workers;
+    cfg.cache_capacity = cache_capacity;
     sn_ = std::make_unique<service_node>(
         cfg, clk_, [this](peer_id to, bytes d) { from_sn_.emplace_back(to, std::move(d)); },
         [](nanoseconds, std::function<void()>) {}, &route_);
@@ -246,6 +256,29 @@ TEST(AllocBudget, ShardedByteEntryAllocatesOnlyTheEgressCopy) {
   EXPECT_EQ(b.forwarded, b.packets);
   EXPECT_EQ(b.fast_path, b.packets);
   EXPECT_LE(b.allocs, b.packets) << "heap allocations over " << b.packets << " packets";
+}
+
+TEST(AllocBudget, InlineSnMissesWithoutAllocating) {
+  sn_rig rig(0, /*byte_entry=*/false, kMissCapacity);
+  ASSERT_TRUE(rig.ready());
+  ASSERT_EQ(rig.wires(), kConnections);
+  const budget b = measure(rig);
+  ASSERT_EQ(b.packets, 4096u);
+  EXPECT_EQ(b.forwarded, b.packets);
+  EXPECT_EQ(b.fast_path, 0u);  // every packet a miss
+  EXPECT_EQ(b.allocs, 0u) << "heap allocations over " << b.packets << " slow-path packets";
+}
+
+TEST(AllocBudget, ShardedSnMissAllocatesOnlyTheEgressCopy) {
+  sn_rig rig(1, /*byte_entry=*/false, kMissCapacity);
+  ASSERT_TRUE(rig.ready());
+  ASSERT_EQ(rig.wires(), kConnections);
+  const budget b = measure(rig);
+  ASSERT_EQ(b.packets, 4096u);
+  EXPECT_EQ(b.forwarded, b.packets);
+  EXPECT_EQ(b.fast_path, 0u);
+  EXPECT_LE(b.allocs, b.packets) << "heap allocations over " << b.packets
+                                 << " slow-path packets";
 }
 
 }  // namespace

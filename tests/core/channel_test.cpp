@@ -13,16 +13,28 @@ namespace interedge::core {
 namespace {
 
 slowpath_response echo_handler(slowpath_request req) {
+  const packet& pkt = *req.pkt;
   slowpath_response resp;
   resp.token = req.token;
-  resp.verdict = decision::forward_to(req.l3_src + 1);
-  resp.cache_inserts.emplace_back(cache_key{req.l3_src, 1, 2}, decision::deliver());
+  resp.verdict = decision::forward_to(pkt.l3_src + 1);
+  resp.cache_inserts.emplace_back(cache_key{pkt.l3_src, 1, 2}, decision::deliver());
   outbound o;
   o.to = 42;
+  o.header = pkt.header;
   o.header.service = 7;
-  o.payload = req.payload;
+  o.payload = pkt.payload;
   resp.sends.push_back(std::move(o));
   return resp;
+}
+
+packet make_packet(peer_id l3_src, bytes payload) {
+  packet pkt;
+  pkt.l3_src = l3_src;
+  pkt.header.service = 3;
+  pkt.header.connection = 11;
+  pkt.header.set_meta_u64(ilp::meta_key::dest_addr, 99);
+  pkt.payload = std::move(payload);
+  return pkt;
 }
 
 enum class channel_kind { inline_call, ring, ipc };
@@ -52,12 +64,8 @@ class ChannelSuite : public ::testing::TestWithParam<channel_kind> {};
 
 TEST_P(ChannelSuite, RoundTripPreservesEverything) {
   auto ch = make_channel(GetParam(), echo_handler);
-  slowpath_request req;
-  req.token = 77;
-  req.l3_src = 5;
-  req.header_bytes = to_bytes("hdr");
-  req.payload = to_bytes("payload-data");
-  ASSERT_TRUE(ch->submit(req));
+  const packet pkt = make_packet(5, to_bytes("payload-data"));
+  ASSERT_TRUE(ch->submit(slowpath_request{.token = 77, .pkt = &pkt}));
 
   const slowpath_response resp = poll_blocking(*ch);
   EXPECT_EQ(resp.token, 77u);
@@ -67,20 +75,21 @@ TEST_P(ChannelSuite, RoundTripPreservesEverything) {
   ASSERT_EQ(resp.sends.size(), 1u);
   EXPECT_EQ(resp.sends[0].to, 42u);
   EXPECT_EQ(resp.sends[0].header.service, 7u);
+  EXPECT_EQ(resp.sends[0].header.connection, 11u);
+  EXPECT_EQ(resp.sends[0].header.meta_u64(ilp::meta_key::dest_addr), 99u);
   EXPECT_EQ(resp.sends[0].payload, to_bytes("payload-data"));
 }
 
 TEST_P(ChannelSuite, ManyOutstandingRequestsAllComplete) {
   auto ch = make_channel(GetParam(), echo_handler);
   constexpr int kCount = 200;
+  const packet pkt = make_packet(1, {});
   int submitted = 0;
   std::set<std::uint64_t> seen;
   while (static_cast<int>(seen.size()) < kCount) {
     while (submitted < kCount) {
-      slowpath_request req;
-      req.token = static_cast<std::uint64_t>(submitted);
-      req.l3_src = 1;
-      if (!ch->submit(std::move(req))) break;  // bounded channel full
+      const slowpath_request req{.token = static_cast<std::uint64_t>(submitted), .pkt = &pkt};
+      if (!ch->submit(req)) break;  // bounded channel full
       ++submitted;
     }
     if (auto r = ch->poll()) {
@@ -97,9 +106,8 @@ TEST_P(ChannelSuite, EmptyPayloadAndFields) {
     r.verdict = decision::drop_packet();
     return r;
   });
-  slowpath_request req;
-  req.token = 1;
-  ASSERT_TRUE(ch->submit(req));
+  const packet pkt{};
+  ASSERT_TRUE(ch->submit(slowpath_request{.token = 1, .pkt = &pkt}));
   const slowpath_response resp = poll_blocking(*ch);
   EXPECT_EQ(resp.verdict.kind, decision::verdict::drop);
   EXPECT_TRUE(resp.cache_inserts.empty());
@@ -108,10 +116,8 @@ TEST_P(ChannelSuite, EmptyPayloadAndFields) {
 
 TEST_P(ChannelSuite, LargePayloadSurvivesTransport) {
   auto ch = make_channel(GetParam(), echo_handler);
-  slowpath_request req;
-  req.token = 9;
-  req.payload = bytes(64 * 1024, 0xcd);
-  ASSERT_TRUE(ch->submit(req));
+  const packet pkt = make_packet(2, bytes(64 * 1024, 0xcd));
+  ASSERT_TRUE(ch->submit(slowpath_request{.token = 9, .pkt = &pkt}));
   const slowpath_response resp = poll_blocking(*ch);
   ASSERT_EQ(resp.sends.size(), 1u);
   EXPECT_EQ(resp.sends[0].payload.size(), 64u * 1024);
@@ -130,16 +136,15 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, ChannelSuite,
                          });
 
 TEST(RequestCodec, RoundTrip) {
-  slowpath_request req;
-  req.token = 0xabcdef;
-  req.l3_src = 17;
-  req.header_bytes = to_bytes("encoded-header");
-  req.payload = to_bytes("data");
-  const slowpath_request decoded = slowpath_request::decode(req.encode());
+  const packet pkt = make_packet(17, to_bytes("data"));
+  const slowpath_request req{.token = 0xabcdef, .pkt = &pkt};
+  packet storage;
+  const slowpath_request decoded = slowpath_request::decode(req.encode(), storage);
   EXPECT_EQ(decoded.token, req.token);
-  EXPECT_EQ(decoded.l3_src, req.l3_src);
-  EXPECT_EQ(decoded.header_bytes, req.header_bytes);
-  EXPECT_EQ(decoded.payload, req.payload);
+  ASSERT_EQ(decoded.pkt, &storage);
+  EXPECT_EQ(storage.l3_src, pkt.l3_src);
+  EXPECT_EQ(storage.header, pkt.header);
+  EXPECT_EQ(storage.payload, pkt.payload);
 }
 
 TEST(ResponseCodec, RoundTripAllVerdicts) {
@@ -175,10 +180,38 @@ TEST(DecisionCodec, MoreThanMaxNextHopsIsSerialError) {
 }
 
 TEST(RequestCodec, DeadlineRoundTrips) {
-  slowpath_request req;
-  req.token = 1;
-  req.deadline_ns = 123456789;
-  EXPECT_EQ(slowpath_request::decode(req.encode()).deadline_ns, 123456789u);
+  const packet pkt{};
+  const slowpath_request req{.token = 1, .deadline_ns = 123456789, .pkt = &pkt};
+  packet storage;
+  EXPECT_EQ(slowpath_request::decode(req.encode(), storage).deadline_ns, 123456789u);
+}
+
+// The inline insert list holds kMaxCacheInserts. A response that claims
+// more is malformed input: decode throws serial_error, nothing else.
+TEST(DecisionCodec, MoreThanMaxCacheInsertsIsSerialError) {
+  auto response_with_inserts = [](std::size_t inserts) {
+    writer w;
+    w.u64(1);  // token
+    w.u16(0);  // annotations
+    w.u8(static_cast<std::uint8_t>(decision::verdict::drop));
+    w.varint(0);  // ttl
+    w.varint(0);  // next hops
+    w.varint(inserts);
+    for (std::size_t i = 0; i < inserts; ++i) {
+      w.u64(i);  // key
+      w.u32(1);
+      w.u64(2);
+      w.u8(static_cast<std::uint8_t>(decision::verdict::deliver_local));
+      w.varint(0);
+      w.varint(0);
+    }
+    w.varint(0);  // sends
+    return w.take();
+  };
+  EXPECT_EQ(slowpath_response::decode(response_with_inserts(kMaxCacheInserts)).cache_inserts.size(),
+            kMaxCacheInserts);
+  EXPECT_THROW(slowpath_response::decode(response_with_inserts(kMaxCacheInserts + 1)),
+               serial_error);
 }
 
 TEST(DecisionCodec, TtlRoundTrips) {

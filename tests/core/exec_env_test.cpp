@@ -178,6 +178,30 @@ class broken_module final : public service_module {
   }
 };
 
+// Installs one decision-cache entry more than a module result holds.
+class over_inserting_module final : public service_module {
+ public:
+  ilp::service_id id() const override { return 72; }
+  std::string_view name() const override { return "test-over-inserting"; }
+  module_result on_packet(service_context&, const packet& pkt) override {
+    module_result r = module_result::deliver();
+    for (std::size_t i = 0; i <= kMaxCacheInserts; ++i) {
+      r.cache_inserts.emplace_back(cache_key{pkt.l3_src, id(), i}, decision::deliver());
+    }
+    return r;
+  }
+};
+
+TEST(ExecEnv, TooManyCacheInsertsIsAModuleError) {
+  fake_node node;
+  exec_env env(node);
+  env.deploy(std::make_unique<over_inserting_module>());
+  const module_result r = env.dispatch(make_packet(72));
+  EXPECT_EQ(r.verdict.kind, decision::verdict::drop);
+  EXPECT_TRUE(r.cache_inserts.empty());
+  EXPECT_EQ(env.module_errors(), 1u);
+}
+
 TEST(ExecEnv, TransientErrorRetriedToSuccess) {
   fake_node node;
   exec_env env(node);

@@ -36,12 +36,13 @@ class terminus_fixture : public ::testing::Test {
         }) {
     // Default handler: forward to hop 50 and install a cache entry.
     handler_ = [](slowpath_request req) {
-      const auto header = ilp::ilp_header::decode(req.header_bytes);
+      const packet& pkt = *req.pkt;
       slowpath_response resp;
       resp.token = req.token;
       resp.verdict = decision::forward_to(50);
-      resp.cache_inserts.emplace_back(cache_key{req.l3_src, header.service, header.connection},
-                                      decision::forward_to(50));
+      resp.cache_inserts.emplace_back(
+          cache_key{pkt.l3_src, pkt.header.service, pkt.header.connection},
+          decision::forward_to(50));
       return resp;
     };
   }
@@ -360,6 +361,81 @@ TEST_F(shed_fixture, NoPolicyMeansNoDeadlineNoShedding) {
   EXPECT_EQ(terminus_.stats().shed, 0u);
   EXPECT_EQ(terminus_.in_flight(), 100u);
   EXPECT_EQ(channel_.accepted[0].deadline_ns, 0u);
+  // The pending slots grew past every earlier request without moving one:
+  // each request still points at its own packet.
+  for (ilp::connection_id c = 0; c < 100; ++c) {
+    EXPECT_EQ(channel_.accepted[c].pkt->header.connection, c);
+    EXPECT_EQ(channel_.accepted[c].pkt->payload, to_bytes("x"));
+  }
+}
+
+// Answers only when the test says so, with whatever token it is given.
+class scripted_channel final : public slowpath_channel {
+ public:
+  bool submit(slowpath_request req) override {
+    accepted.push_back(req);
+    return true;
+  }
+  std::optional<slowpath_response> poll() override {
+    if (ready.empty()) return std::nullopt;
+    slowpath_response r = ready.front();
+    ready.erase(ready.begin());
+    return r;
+  }
+  void respond(std::uint64_t token) {
+    slowpath_response r;
+    r.token = token;
+    r.verdict = decision::forward_to(50);
+    ready.push_back(r);
+  }
+  std::vector<slowpath_request> accepted;
+  std::vector<slowpath_response> ready;
+};
+
+TEST(TerminusTokens, UnknownAndCompletedTokensAreIgnored) {
+  decision_cache cache(16);
+  scripted_channel channel;
+  int forwards = 0;
+  pipe_terminus terminus(cache, channel,
+                         [&](peer_id, const ilp::ilp_header&, const_byte_span) { ++forwards; });
+  auto send = [&](ilp::connection_id conn) {
+    packet p;
+    p.l3_src = 7;
+    p.header.service = ilp::svc::delivery;
+    p.header.connection = conn;
+    handle(terminus, p);
+  };
+  for (ilp::connection_id c = 1; c <= 3; ++c) send(c);
+  ASSERT_EQ(terminus.in_flight(), 3u);
+  ASSERT_EQ(channel.accepted.size(), 3u);
+  const std::uint64_t first = channel.accepted[0].token;
+
+  channel.respond(0);                                 // never issued
+  channel.respond(first ^ (std::uint64_t{1} << 30));  // the right slot, another claim
+  channel.respond(first + 1000);                      // a slot that does not exist
+  channel.respond(first);
+  channel.respond(first);  // a duplicate of a completed response
+  EXPECT_EQ(terminus.pump(), 5u);
+  EXPECT_EQ(terminus.in_flight(), 2u);
+  EXPECT_EQ(forwards, 1);
+
+  // The next packet reuses the freed slot under a new token; the old token
+  // no longer completes anything.
+  send(4);
+  ASSERT_EQ(channel.accepted.size(), 4u);
+  EXPECT_NE(channel.accepted[3].token, first);
+  EXPECT_EQ(channel.accepted[3].pkt, channel.accepted[0].pkt);
+  channel.respond(first);
+  terminus.pump();
+  EXPECT_EQ(terminus.in_flight(), 3u);
+  EXPECT_EQ(forwards, 1);
+
+  for (std::size_t i = 1; i < 4; ++i) channel.respond(channel.accepted[i].token);
+  terminus.pump();
+  EXPECT_EQ(terminus.in_flight(), 0u);
+  EXPECT_FALSE(terminus.busy());
+  EXPECT_EQ(forwards, 4);
+  EXPECT_EQ(terminus.stats().forwarded, 4u);
 }
 
 TEST(ShedBoundedSubmit, FullChannelShedsAfterRetryBudget) {

@@ -124,8 +124,9 @@ TEST(ShardedDatapath, ParallelDeliversSameSetAsInline) {
 
     for (int c = 1; c <= kFlows; ++c) {
       for (int p = 0; p < kPerFlow; ++p) {
-        alice->mgr->send(sn->node_id(), delivery_header(bob->node, c),
-                         to_bytes("c" + std::to_string(c) + "p" + std::to_string(p)));
+        const std::string body =
+            std::string("c").append(std::to_string(c)).append("p").append(std::to_string(p));
+        alice->mgr->send(sn->node_id(), delivery_header(bob->node, c), to_bytes(body));
       }
     }
     settle(net, *sn);
@@ -552,7 +553,7 @@ class ingress_rig {
     ASSERT_TRUE(ready());
     std::vector<std::pair<peer_id, bytes>> warm;
     for (int c = 1; c <= kFlows; ++c) {
-      alice_->send(kSn, header(c), to_bytes("w" + std::to_string(c)));
+      alice_->send(kSn, header(c), to_bytes(std::string("w").append(std::to_string(c))));
       warm.emplace_back(kAlice, std::move(alice_out_.back()));
       ++totals_.well_formed;
     }
@@ -568,14 +569,15 @@ class ingress_rig {
     for (std::size_t i = 0; i < length; ++i) {
       const int c = static_cast<int>(r.below(kFlows)) + 1;
       if (r.chance(0.7)) {
-        stream.emplace_back(kAlice,
-                            seal(c, "c" + std::to_string(c) + "p" + std::to_string(i)));
+        const std::string body =
+            std::string("c").append(std::to_string(c)).append("p").append(std::to_string(i));
+        stream.emplace_back(kAlice, seal(c, body));
         ++totals_.well_formed;
         continue;
       }
       const auto h = static_cast<hostile>(r.below(static_cast<int>(hostile::count)));
       ++totals_.hostiles[static_cast<int>(h)];
-      bytes d = seal(c, "h" + std::to_string(i));
+      bytes d = seal(c, std::string("h").append(std::to_string(i)));
       peer_id from = kAlice;
       // Wire layout: kind || varint sealed_len || spi(4) iv(8) ct tag || payload.
       std::size_t sealed_at = 1;

@@ -142,7 +142,7 @@ TEST(Broker, PlanNeverWorseThanAnySingleProvider) {
     rate_card card;
     card.set_rate(ilp::svc::delivery, "r1", {{0, 50 + p * 13}});
     card.set_rate(ilp::svc::delivery, "r2", {{0, 90 - p * 7}});
-    market.add(std::make_shared<iesp>("p" + std::to_string(p), card));
+    market.add(std::make_shared<iesp>(std::string("p").append(std::to_string(p)), card));
   }
   broker b(market);
   const std::map<std::string, std::uint64_t> demand{{"r1", 7}, {"r2", 11}};

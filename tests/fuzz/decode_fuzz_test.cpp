@@ -51,8 +51,9 @@ TEST(DecodeFuzz, IlpHeaderNeverCrashes) {
 TEST(DecodeFuzz, SlowpathRequestNeverCrashes) {
   fuzz(2, 2000, 300, [&](const_byte_span in) {
     try {
-      auto req = core::slowpath_request::decode(in);
-      (void)req;
+      core::packet storage;
+      auto req = core::slowpath_request::decode(in, storage);
+      EXPECT_EQ(req.pkt, &storage);
     } catch (const serial_error&) {
     }
   });

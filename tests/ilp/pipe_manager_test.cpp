@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "simnet/simulation.h"
 
 namespace interedge::ilp {
@@ -201,6 +203,22 @@ TEST(PipeManager, RefusedDatagramsAreCounted) {
   const byte_span batch[] = {byte_span(), byte_span(unknown)};
   m.on_datagram_batch_mut(2, batch);
   EXPECT_EQ(rejected.value(), 6u);
+
+  // A flood is counted in full but logged only at each reason's 1st, 2nd,
+  // 4th, 8th, ... refusal: 1000 more empties (totals 3 to 1002) log at 4,
+  // 8, ..., 512 — 8 lines, within the 11 a fresh reason could print.
+  ::testing::internal::CaptureStderr();
+  for (int i = 0; i < 1000; ++i) m.on_datagram(2, {});
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rejected.value(), 1006u);
+  std::size_t lines = 0;
+  for (std::size_t pos = log.find("drop=empty"); pos != std::string::npos;
+       pos = log.find("drop=empty", pos + 1)) {
+    ++lines;
+  }
+  EXPECT_LE(lines, 11u);
+  EXPECT_EQ(lines, 8u);
+  EXPECT_NE(log.find("total=512"), std::string::npos);
 }
 
 TEST(PipeManager, LossyHandshakeRetriesViaResend) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace interedge::ilp {
 namespace {
 
@@ -84,7 +86,7 @@ TEST(Pipe, OutOfOrderDelivery) {
   for (int i = 0; i < 5; ++i) {
     ilp_header h = sample_header();
     h.connection = static_cast<connection_id>(i);
-    wires.push_back(a.seal(h, to_bytes("m" + std::to_string(i))));
+    wires.push_back(a.seal(h, to_bytes(std::string("m").append(std::to_string(i)))));
   }
   // Deliver in reverse.
   for (int i = 4; i >= 0; --i) {
@@ -139,7 +141,7 @@ TEST(Pipe, DecryptBatchRoundTrip) {
   for (int i = 0; i < 6; ++i) {
     ilp_header h = sample_header();
     h.connection = static_cast<connection_id>(i);
-    wires.push_back(a.seal(h, to_bytes("m" + std::to_string(i))));
+    wires.push_back(a.seal(h, to_bytes(std::string("m").append(std::to_string(i)))));
   }
   for (bytes& w : wires) bodies.push_back(byte_span(w).subspan(1));
 
@@ -149,7 +151,7 @@ TEST(Pipe, DecryptBatchRoundTrip) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(out[i].has_value()) << i;
     EXPECT_EQ(out[i]->header.connection, static_cast<connection_id>(i));
-    EXPECT_EQ(to_string(out[i]->payload), "m" + std::to_string(i));
+    EXPECT_EQ(to_string(out[i]->payload), std::string("m").append(std::to_string(i)));
   }
   EXPECT_EQ(b.stats().opened, 6u);
 }

@@ -222,7 +222,7 @@ TEST(UdpBackend, BufferReplenish) {
   std::size_t delivered = 0;
   std::vector<std::pair<peer_id, buf::pkt_view>> got;
   for (std::size_t i = 0; i < kTotal; ++i) {
-    ASSERT_TRUE(tx.send(2, to_bytes("r" + std::to_string(i))));
+    ASSERT_TRUE(tx.send(2, to_bytes(std::string("r").append(std::to_string(i)))));
     // Consume as we go so slabs recycle into the armed set.
     got.clear();
     delivered += rx.recv_batch_views(udp_endpoint::kBatchMax, got);

@@ -141,8 +141,9 @@ TEST(Delivery, CacheEvictionAtCapacity) {
   // Replace the w1 module's cap by re-deploying a small-capacity module.
   f.d.sn(f.sn_w1).env().deploy(std::make_unique<delivery_service>(2));
   for (int i = 0; i < 4; ++i) {
-    origin.put("k" + std::to_string(i), to_bytes("v" + std::to_string(i)));
-    client.fetch(f.carol->addr(), "k" + std::to_string(i), [](const std::string&, bytes) {});
+    const std::string key = std::string("k").append(std::to_string(i));
+    origin.put(key, to_bytes(std::string("v").append(std::to_string(i))));
+    client.fetch(f.carol->addr(), key, [](const std::string&, bytes) {});
     f.d.run();
   }
   EXPECT_LE(module_on(f, f.sn_w1)->cached_objects(), 2u);

@@ -48,14 +48,18 @@ TEST(MessageQueue, FifoOrder) {
   mq_fixture m;
   m.producer.create("q");
   m.f.d.run();
-  for (int i = 0; i < 5; ++i) m.producer.push("q", to_bytes("m" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) {
+    m.producer.push("q", to_bytes(std::string("m").append(std::to_string(i))));
+  }
   m.f.d.run();
   for (int i = 0; i < 5; ++i) {
     m.consumer.pop("q");
     m.f.d.run();
   }
   ASSERT_EQ(m.received.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(m.received[i].second, "m" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(m.received[i].second, std::string("m").append(std::to_string(i)));
+  }
 }
 
 TEST(MessageQueue, EmptyQueueSignalsEmpty) {
@@ -115,7 +119,9 @@ TEST(MessageQueue, TwoConsumersShareWork) {
 
   m.producer.create("q");
   m.f.d.run();
-  for (int i = 0; i < 4; ++i) m.producer.push("q", to_bytes("w" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    m.producer.push("q", to_bytes(std::string("w").append(std::to_string(i))));
+  }
   m.f.d.run();
   m.consumer.pop("q");
   consumer2.pop("q");

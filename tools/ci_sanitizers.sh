@@ -1,11 +1,13 @@
 #!/bin/sh
 # Sanitizer CI job: builds and runs the test suite under ASan+UBSan and
-# TSan (presets in CMakePresets.json). TSan is what keeps the lock-free
-# paths honest — sharded_counter stripes, concurrent histogram records,
-# the trace ring, and the multi-core SN datapath (worker shards, SPSC
-# rings, the invalidation bus) hammered by parallel_test.
+# TSan (presets in CMakePresets.json), and once more as an -O3 Release
+# build, whose inlining surfaces warnings the -O2 presets never see (the
+# root build is -Werror). TSan is what keeps the lock-free paths honest —
+# sharded_counter stripes, concurrent histogram records, the trace ring,
+# and the multi-core SN datapath (worker shards, SPSC rings, the
+# invalidation bus) hammered by parallel_test.
 #
-#   tools/ci_sanitizers.sh [asan|tsan]    # default: both
+#   tools/ci_sanitizers.sh [asan|tsan|o3]    # default: all three
 set -e
 cd "$(dirname "$0")/.."
 
@@ -115,14 +117,55 @@ run_preset() {
     "$alloc_test" --gtest_brief=1
     taskset -c 0 "$alloc_test" --gtest_brief=1
   done
+  if [ "$preset" = tsan ]; then
+    # A slow-path request points into the issuing terminus's pending slot
+    # while a service thread (ring, ipc) or the control thread (hub) reads
+    # it; the slot is handed over and back only by the rings'
+    # release/acquire. These drive that hand-off across threads.
+    echo "== tsan: slow-path slot hand-off x20 =="
+    core_test="build-$preset/tests/core_test"
+    failover_test="build-$preset/tests/failover_test"
+    for i in $(seq 20); do
+      "$core_test" --gtest_filter='AllTransports/ChannelSuite.*:SlowpathHub.*:RingChannel.*' \
+        --gtest_brief=1
+      "$parallel_test" --gtest_brief=1
+      "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
+      "$failover_test" --gtest_filter='Failover.SaturatedSlowPathShedsInsteadOfBlocking' \
+        --gtest_brief=1
+    done
+  fi
+}
+
+# -O3 Release build of the whole tree under -Werror, then the suite.
+run_o3() {
+  echo "== o3: configure =="
+  cmake -B build-o3 -S . -DCMAKE_BUILD_TYPE=Release
+  echo "== o3: build =="
+  cmake --build build-o3 -j
+  echo "== o3: test =="
+  (cd build-o3 && ctest -j --output-on-failure)
+  # The flat decision cache against the list-LRU reference model it
+  # replaced (~6 s here, minutes in the sanitizer builds, which run it
+  # once in their ctest pass) and the slow-path allocation budget: 20
+  # free, 20 on one CPU.
+  echo "== o3: cache differential + miss allocation budget x20 alone, x20 on one CPU =="
+  for i in $(seq 20); do
+    for pin in "" "taskset -c 0"; do
+      $pin build-o3/tests/core_test --gtest_filter='DecisionCacheDiff.*:CacheKeyHash.*' \
+        --gtest_brief=1
+      $pin build-o3/tests/alloc_test --gtest_filter='AllocBudget.*Miss*' --gtest_brief=1
+    done
+  done
 }
 
 case "${1:-all}" in
   asan) run_preset asan ;;
   tsan) run_preset tsan ;;
+  o3) run_o3 ;;
   all)
     run_preset asan
     run_preset tsan
+    run_o3
     ;;
-  *) echo "usage: $0 [asan|tsan]" >&2; exit 2 ;;
+  *) echo "usage: $0 [asan|tsan|o3]" >&2; exit 2 ;;
 esac
