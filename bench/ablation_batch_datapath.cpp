@@ -19,7 +19,6 @@
 #include "common/clock.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
-#include "common/prof.h"
 #include "common/slo.h"
 #include "common/timeseries.h"
 #include "common/trace.h"
@@ -256,62 +255,6 @@ void BM_IngressDatapath_Robustness(benchmark::State& state) {
   state.counters["pkts/s"] =
       benchmark::Counter(static_cast<double>(state.iterations() * batch),
                          benchmark::Counter::kIsRate);
-}
-
-// Continuous profiling plane (ISSUE 10) layered on the robustness arm,
-// the way a live SN runs it: the bench thread registered with an armed
-// sampling profiler at the default 97Hz and a cycle_set installed so the
-// datapath's internal cycle_scope attribution (decrypt, terminus,
-// slowpath) is live. The SIGPROF handler is the entire steady-state cost —
-// draining/symbolizing happens on health ticks in production and stays
-// OUT of the timed loop here. This TU's heap audit doubles as proof the
-// handler never allocates. Acceptance (ISSUE 10): <2% pkts/s off
-// BM_IngressDatapath_Robustness at batch 32.
-void BM_IngressDatapath_Profiled(benchmark::State& state) {
-  datapath dp;
-  manual_clock clk;
-  dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
-  dp.terminus->set_slowpath_policy({.clk = &clk,
-                                    .deadline = std::chrono::milliseconds(5),
-                                    .high_water = 1024});
-
-  prof::profiler profiler(prof::profiler_config{.sample_hz = 97, .ring_slots = 4096});
-  profiler.register_current_thread("bench");
-  profiler.arm();
-  prof::cycle_set cycles;
-  prof::scoped_cycle_set ambient(&cycles);
-
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  replay burst(dp.preseal(batch, 256));
-
-  std::uint64_t iter = 0;
-  for (auto _ : state) {
-    burst.feed(*dp.receiver);
-    if ((++iter & 0xfff) == 0) {
-      clk.advance(std::chrono::milliseconds(10));
-      dp.receiver->liveness_tick();
-      if ((iter & 0xffff) == 0) {
-        bytes snap = dp.cache.snapshot(clk.now());
-        benchmark::DoNotOptimize(snap);
-      }
-      dp.shuttle();
-    }
-  }
-  // Outside the timed loop, matching production where drain/fold runs on
-  // health ticks, not in the packet path.
-  profiler.drain();
-  profiler.disarm();
-  profiler.unregister_current_thread();
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations() * batch),
-                         benchmark::Counter::kIsRate);
-  state.counters["samples"] = static_cast<double>(profiler.total_samples());
-  state.counters["sample_drops"] = static_cast<double>(profiler.total_dropped());
-  state.counters["decrypt_cycles"] =
-      static_cast<double>(cycles.self[static_cast<std::size_t>(prof::cycle_stage::decrypt)]);
-  state.counters["terminus_cycles"] =
-      static_cast<double>(cycles.self[static_cast<std::size_t>(prof::cycle_stage::terminus)]);
 }
 
 // Cross-hop path tracing (ISSUE 5) layered on the robustness arm, the way
@@ -606,7 +549,6 @@ BENCHMARK(BM_IngressDatapath)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapathZeroCopy)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_IngressDatapath_Telemetry)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_Robustness)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_IngressDatapath_Profiled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracing)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_PathTracingSampled)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_IngressDatapath_HealthPlane)->Arg(1)->Arg(32)->Arg(128);

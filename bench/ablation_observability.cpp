@@ -19,8 +19,6 @@
 
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
-#include "common/prof.h"
-#include "common/prof_symbolize.h"
 #include "common/slo.h"
 #include "common/timeseries.h"
 #include "common/trace.h"
@@ -333,97 +331,6 @@ void BM_FlightRecorderSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// ---- continuous profiling plane (ISSUE 10) micro-costs ----------------
-
-// The two costs a cycle_scope pays on entry+exit when a cycle_set is
-// installed: two rdtsc reads plus two relaxed atomic adds. This is the
-// per-stage attribution price the datapath pays per BATCH (not per
-// packet) — decrypt, terminus, slowpath each open one scope per batch.
-void BM_ProfCycleScope(benchmark::State& state) {
-  prof::cycle_set set;
-  prof::scoped_cycle_set ambient(&set);
-  for (auto _ : state) {
-    prof::cycle_scope s(prof::cycle_stage::decrypt);
-    benchmark::DoNotOptimize(&s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-// The same scope with NO ambient set — the price every deployment with
-// the profiler off pays: two TLS loads, nothing else.
-void BM_ProfCycleScopeDisarmed(benchmark::State& state) {
-  for (auto _ : state) {
-    prof::cycle_scope s(prof::cycle_stage::decrypt);
-    benchmark::DoNotOptimize(&s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-// The handler-side cost: one SPSC ring push of a captured stack (the
-// unwind itself depends on stack depth; this is the fixed part).
-void BM_ProfRingPush(benchmark::State& state) {
-  prof::sample_ring ring(4096);
-  prof::raw_sample s;
-  s.depth = 16;
-  for (std::uint32_t i = 0; i < s.depth; ++i) s.pc[i] = 0x400000 + i * 64;
-  prof::raw_sample out;
-  for (auto _ : state) {
-    if (!ring.try_push(s)) {
-      while (ring.try_pop(out)) benchmark::DoNotOptimize(out.depth);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-// The recurring health-tick cost with nothing new to fold: one pass over
-// the registered rings' (empty) SPSC heads. What profile_tick pays every
-// interval on an idle node.
-void BM_ProfDrainIdle(benchmark::State& state) {
-  prof::profiler p(prof::profiler_config{.sample_hz = 97, .ring_slots = 4096});
-  p.register_current_thread("bench");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.drain());
-  }
-  p.unregister_current_thread();
-  state.SetItemsProcessed(state.iterations());
-}
-
-// Export: render the folded-stack table (symbolizer cache warm after the
-// first iteration). Paid at postmortem/export time, never on a datapath.
-void BM_ProfFoldedExport(benchmark::State& state) {
-  prof::profiler p(prof::profiler_config{.sample_hz = 997, .ring_slots = 4096,
-                                         .force_timer = true});
-  p.register_current_thread("bench");
-  p.arm();
-  // ~100ms of real sampled work so the table has representative stacks.
-  volatile std::uint64_t acc = 1;
-  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-  while (std::chrono::steady_clock::now() < until) {
-    for (int i = 0; i < 4096; ++i) acc = acc * 6364136223846793005ull + 1;
-  }
-  p.drain();
-  p.disarm();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.folded());
-  }
-  p.unregister_current_thread();
-  state.counters["stacks"] = static_cast<double>(p.stacks().size());
-  state.SetItemsProcessed(state.iterations());
-}
-
-// Symbolization: dladdr + ELF .symtab lookup per distinct PC, cached
-// after first hit. Paid only at export/postmortem time.
-void BM_ProfSymbolizeCached(benchmark::State& state) {
-  prof::symbolizer sym;
-  const std::uintptr_t pc = reinterpret_cast<std::uintptr_t>(&malloc);
-  std::string first = sym.name_of(pc);  // warm the cache
-  benchmark::DoNotOptimize(first);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sym.name_of(pc));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 }  // namespace
 
 BENCHMARK(BM_CounterStringLookup);
@@ -445,11 +352,5 @@ BENCHMARK(BM_TimeseriesFractionAbove);
 BENCHMARK(BM_SloEvaluate);
 BENCHMARK(BM_FlightRecorderRecord)->Threads(1)->Threads(4);
 BENCHMARK(BM_FlightRecorderSnapshot);
-BENCHMARK(BM_ProfCycleScope);
-BENCHMARK(BM_ProfCycleScopeDisarmed);
-BENCHMARK(BM_ProfRingPush);
-BENCHMARK(BM_ProfDrainIdle);
-BENCHMARK(BM_ProfFoldedExport);
-BENCHMARK(BM_ProfSymbolizeCached);
 
 BENCHMARK_MAIN();

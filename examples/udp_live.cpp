@@ -4,13 +4,6 @@
 // actual wire.
 //
 //   ./examples/udp_live [--messages=5] [--pin=-1] [--dump-blackbox]
-//                       [--profile=0]
-//
-// --profile=N arms the continuous profiling plane (ISSUE 10) on the SN
-// (997Hz on-CPU sampling of the event-loop thread), drives traffic for N
-// extra seconds to give the sampler something to chew on, and prints the
-// capture on exit: FlameGraph-collapsed folded stacks (pipe into
-// flamegraph.pl or load into speedscope) plus the top-10 hot functions.
 //
 // The SN's socket drains through the zero-copy slab path
 // (recv_batch_views -> on_datagram_views): datagrams land in pool slabs,
@@ -24,9 +17,10 @@
 // on the ingress stage latency, the shard watchdog, and the black-box
 // flight recorder. --dump-blackbox freezes the box at exit (manual
 // trigger) and prints the postmortem JSON.
+#include <sched.h>
+
 #include <cstdio>
 
-#include "common/cpu_topology.h"
 #include "common/flags.h"
 #include "core/service_node.h"
 #include "host/host_stack.h"
@@ -55,7 +49,12 @@ int main(int argc, char** argv) {
   std::printf("== InterEdge over real UDP sockets ==\n\n");
 
   const int pin_cpu = static_cast<int>(flags.get_int("pin", -1));
-  if (pin_cpu >= 0) sys::pin_thread_to_cpu(pin_cpu);
+  if (pin_cpu >= 0 && pin_cpu < CPU_SETSIZE) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(pin_cpu, &set);
+    if (sched_setaffinity(0, sizeof(set), &set) != 0) std::perror("--pin: sched_setaffinity");
+  }
   net::udp_endpoint ep_alice, ep_bob, ep_sn;
   net::event_loop loop;
   const net::peer_id id_alice = ep_alice.port();
@@ -71,17 +70,10 @@ int main(int argc, char** argv) {
 
   port_router route;
   real_clock clk;
-  const int profile_secs = static_cast<int>(flags.get_int("profile", 0));
   // trace_sample_shift = 0: sample every packet, so a handful of demo
   // datagrams still populate the per-stage histograms and the trace ring.
-  // --profile=N arms the sampling profiler on the event-loop thread; 997Hz
-  // (prime, so it never phase-locks with a periodic workload) gives ~1k
-  // samples per profiled second.
   core::service_node sn(
-      core::sn_config{.id = id_sn,
-                      .edomain = 1,
-                      .trace_sample_shift = 0,
-                      .profiler_hz = profile_secs > 0 ? 997u : 0u},
+      core::sn_config{.id = id_sn, .edomain = 1, .trace_sample_shift = 0},
       clk, [&](net::peer_id to, bytes d) { ep_sn.send(to, d); }, loop.scheduler(), &route);
   // Socket counters (net.udp.*) land in the SN registry and show up in the
   // Prometheus dump below.
@@ -173,28 +165,6 @@ int main(int argc, char** argv) {
   pub.publish("headlines", to_bytes("InterEdge runs on real sockets"));
   loop.run_until_quiet(30ms, 2000ms);
 
-  // --profile=N: keep the datapath hot for N seconds so the sampler has
-  // real ingress work to attribute, then report below. Traffic loops
-  // through the same zero-copy delivery path as the demo sends above.
-  if (profile_secs > 0 && sn.profiler() != nullptr) {
-    std::printf("\nprofiling the SN event loop for %ds at 997Hz...\n", profile_secs);
-    // Quiet counting handler for the capture traffic — the demo handler
-    // would printf per packet.
-    std::uint64_t profiled_rx = 0;
-    bob.set_default_handler([&](const ilp::ilp_header&, bytes) { ++profiled_rx; });
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(profile_secs);
-    std::uint64_t sent = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      for (int i = 0; i < 64; ++i) {
-        conn.send(to_bytes("profile payload " + std::to_string(sent++)));
-      }
-      loop.run_until_quiet(1ms, 50ms);
-    }
-    std::printf("profiled %llu datagrams (%llu delivered)\n",
-                static_cast<unsigned long long>(sent),
-                static_cast<unsigned long long>(profiled_rx));
-  }
-
   const auto& stats = sn.datapath_stats();
   std::printf("\nSN datapath: received=%llu fast-path=%llu slow-path=%llu forwarded=%llu\n",
               static_cast<unsigned long long>(stats.received),
@@ -246,38 +216,14 @@ int main(int argc, char** argv) {
     std::printf("SLO state:\n%s\n", slos->export_json().c_str());
   }
 
-  // Profiling report (--profile=N): folded stacks in FlameGraph-collapsed
-  // format — feed to flamegraph.pl or speedscope — then the top-10 hot
-  // functions by self samples. The hot-stack table also lands in any
-  // --dump-blackbox postmortem below via the health plane's snapshots.
-  if (profile_secs > 0 && sn.profiler() != nullptr) {
-    // Stop sampling before the report renders: symbolization is heavy
-    // enough that an armed sampler would profile its own exporter.
-    sn.profiler()->disarm();
-    sn.profile_refresh();
-    std::printf("\nfolded stacks (flamegraph.pl collapsed format):\n%s",
-                sn.export_profile_folded().c_str());
-    std::printf("\ntop functions by self samples (backend=%s, %llu samples, %llu dropped):\n",
-                sn.profiler()->active_backend() == prof::backend::perf_event ? "perf_event"
-                                                                            : "timer_signal",
-                static_cast<unsigned long long>(sn.profiler()->total_samples()),
-                static_cast<unsigned long long>(sn.profiler()->total_dropped()));
-    for (const auto& hf : sn.profiler()->top_functions(10)) {
-      std::printf("  %6llu self  %6llu total  %s\n", static_cast<unsigned long long>(hf.self),
-                  static_cast<unsigned long long>(hf.total), hf.name.c_str());
-    }
-  }
-
   // Black-box postmortem: freeze the ring by hand (the kTrigManual path —
   // the same freeze a peer-down, shed watermark or SLO page would fire)
   // and dump what the node was doing right before.
   if (flags.get_bool("dump-blackbox", false)) {
-    if (flight_recorder* box = sn.blackbox()) {
-      box->trigger(kTrigManual,
-                   static_cast<std::uint64_t>(clk.now().time_since_epoch().count()));
-      std::printf("\nblack-box flight recorder dump (--dump-blackbox):\n%s\n",
-                  sn.dump_blackbox_json().c_str());
-    }
+    sn.blackbox()->trigger(kTrigManual,
+                           static_cast<std::uint64_t>(clk.now().time_since_epoch().count()));
+    std::printf("\nblack-box flight recorder dump (--dump-blackbox):\n%s\n",
+                sn.dump_blackbox_json().c_str());
   }
 
   return (delivered == n_messages && headlines == 1) ? 0 : 1;

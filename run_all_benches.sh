@@ -43,13 +43,6 @@ run_gbench ablation_ilp_crypto --benchmark_min_time=0.05
 echo
 run_gbench ablation_enclave --benchmark_min_time=0.05
 echo
-# Includes the profiling-plane overhead arm (ISSUE 10):
-# BM_IngressDatapath_Profiled rides this binary — the robustness datapath
-# with a 97Hz sampling profiler armed on the bench thread and per-stage
-# cycle attribution live. Compare pkts/s against
-# BM_IngressDatapath_Robustness at the same batch; budget is <2% at 32.
-# The profiler micro-costs (cycle_scope, ring push, drain, symbolize)
-# live in ablation_observability below.
 run_gbench ablation_batch_datapath --benchmark_min_time=0.05
 echo
 # Multi-core datapath sweep: workers 0/1/2/4/8 x feed batch 1/32. Each

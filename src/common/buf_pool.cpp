@@ -6,8 +6,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "common/cpu_topology.h"
-
 namespace interedge::buf {
 
 namespace {
@@ -59,11 +57,6 @@ buf_pool::buf_pool(pool_config cfg)
   arena_ = static_cast<std::uint8_t*>(
       ::aligned_alloc(kCacheLine, slab_size_ * slab_count_));
   if (arena_ == nullptr) throw std::bad_alloc();
-  if (cfg.numa_node >= 0) {
-    // Advisory NUMA placement: a shard-owned pool lands its slabs on the
-    // shard's node. Failure (no mbind, single-node box) costs locality only.
-    sys::bind_memory_to_node(arena_, slab_size_ * slab_count_, cfg.numa_node);
-  }
   ctl_ = std::make_unique<ctl[]>(slab_count_);
   free_.reserve(slab_count_);
   // LIFO free list: the most recently released slab is the hottest in

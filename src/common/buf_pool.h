@@ -45,9 +45,6 @@ struct pool_config {
   // Slabs moved between a local cache and the global free list per refill
   // or spill — the amortization factor on the pool mutex.
   std::size_t cache_batch = 32;
-  // NUMA node to place the arena on (best-effort mbind at construction;
-  // see cpu_topology.h). -1 = wherever first touch lands, the default.
-  int numa_node = -1;
 };
 
 struct pool_stats {

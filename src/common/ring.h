@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -20,19 +21,21 @@ namespace interedge {
 template <typename T>
 class spsc_ring {
  public:
-  // Capacity is rounded up to a power of two; usable slots = capacity - 1.
+  // Holds `capacity` elements, rounded up to a power of two (at least 1).
+  // head_ and tail_ are free-running counts of pushes and pops (unsigned
+  // wrap-around keeps head - tail exact) and a count names slot
+  // `count & mask_`, so every slot is usable.
   // Slots are raw storage: an element is constructed by its push and
   // destroyed by its pop, so building a ring touches none of its memory.
   explicit spsc_ring(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity + 1) cap <<= 1;
+    const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 1));
     slots_ = std::allocator<T>().allocate(cap);
     mask_ = cap - 1;
   }
   ~spsc_ring() {
-    for (std::size_t i = tail_.load(std::memory_order_relaxed);
-         i != head_.load(std::memory_order_relaxed); i = (i + 1) & mask_) {
-      std::destroy_at(slots_ + i);
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    for (std::size_t i = tail_.load(std::memory_order_relaxed); i != head; ++i) {
+      std::destroy_at(slots_ + (i & mask_));
     }
     std::allocator<T>().deallocate(slots_, mask_ + 1);
   }
@@ -42,19 +45,19 @@ class spsc_ring {
 
   bool try_push(T value) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_.load(std::memory_order_acquire)) return false;  // full
-    std::construct_at(slots_ + head, std::move(value));
-    head_.store(next, std::memory_order_release);
+    if (head - tail_.load(std::memory_order_acquire) > mask_) return false;  // full
+    std::construct_at(slots_ + (head & mask_), std::move(value));
+    head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
   std::optional<T> try_pop() {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail == head_.load(std::memory_order_acquire)) return std::nullopt;  // empty
-    std::optional<T> value(std::move(slots_[tail]));
-    std::destroy_at(slots_ + tail);
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
+    T* slot = slots_ + (tail & mask_);
+    std::optional<T> value(std::move(*slot));
+    std::destroy_at(slot);
+    tail_.store(tail + 1, std::memory_order_release);
     return value;
   }
 
@@ -64,12 +67,11 @@ class spsc_ring {
   std::size_t try_push_batch(std::span<T> values) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
-    const std::size_t free = mask_ - ((head - tail) & mask_);
-    const std::size_t n = std::min(free, values.size());
+    const std::size_t n = std::min(capacity() - (head - tail), values.size());
     for (std::size_t i = 0; i < n; ++i) {
       std::construct_at(slots_ + ((head + i) & mask_), std::move(values[i]));
     }
-    if (n > 0) head_.store((head + n) & mask_, std::memory_order_release);
+    if (n > 0) head_.store(head + n, std::memory_order_release);
     return n;
   }
 
@@ -78,14 +80,13 @@ class spsc_ring {
   std::size_t try_pop_batch(std::vector<T>& out, std::size_t max) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     const std::size_t head = head_.load(std::memory_order_acquire);
-    const std::size_t avail = (head - tail) & mask_;
-    const std::size_t n = std::min(avail, max);
+    const std::size_t n = std::min(head - tail, max);
     for (std::size_t i = 0; i < n; ++i) {
       T* slot = slots_ + ((tail + i) & mask_);
       out.push_back(std::move(*slot));
       std::destroy_at(slot);
     }
-    if (n > 0) tail_.store((tail + n) & mask_, std::memory_order_release);
+    if (n > 0) tail_.store(tail + n, std::memory_order_release);
     return n;
   }
 
@@ -94,20 +95,16 @@ class spsc_ring {
   }
 
   // Approximate occupancy: exact from the consumer's thread, a safe
-  // snapshot from anywhere else (both indices are loaded acquire).
+  // snapshot from anywhere else. tail_ is loaded first, so the head_ read
+  // after it is never behind it; a third thread's snapshot can overshoot
+  // while both move, hence the clamp.
   std::size_t size_approx() const {
-    const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
-    return (head - tail) & mask_;
+    const std::size_t head = head_.load(std::memory_order_acquire);
+    return std::min(head - tail, capacity());
   }
 
-  std::size_t capacity() const { return mask_; }
-
-  // Backing storage, exposed for advisory NUMA placement (mbind the slots
-  // onto the consumer's node). Construction-time only — never while the
-  // ring carries traffic.
-  void* storage() { return slots_; }
-  std::size_t storage_bytes() const { return (mask_ + 1) * sizeof(T); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
   T* slots_ = nullptr;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/logging.h"
-#include "common/prof.h"
 
 namespace interedge::core {
 
@@ -153,7 +152,6 @@ bool pipe_terminus::submit_bounded(const slowpath_request& req, bool is_control)
 
 void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
   trace::span batch_span(trace::stage::ingress);
-  prof::cycle_scope cyc(prof::cycle_stage::terminus);
   // One atomic claims the whole batch's sampler sequence range; per packet
   // the sampling decision is then a mask compare on a register.
   std::uint64_t sample_base = 0;
@@ -250,7 +248,6 @@ void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
   // Drain the slow-path channel once per batch, not once per packet.
   if (submitted) {
     trace::span drain_span(trace::stage::slowpath);
-    prof::cycle_scope cys(prof::cycle_stage::slowpath);
     pump();
   }
 

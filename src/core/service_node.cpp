@@ -1,10 +1,9 @@
 #include "core/service_node.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
 #include <string>
 
-#include "common/cpu_topology.h"
 #include "common/logging.h"
 #include "common/serial.h"
 #include "ilp/pipe.h"
@@ -13,14 +12,13 @@ namespace interedge::core {
 namespace {
 
 constexpr std::size_t kWorkerBatch = 32;
-// Hot stacks embedded in the black-box postmortem / snapshot JSON.
-constexpr std::size_t kHotStacksTopN = 10;
 
 // The ingress pool's slabs: one for the packet on_datagram is handling on
 // the control thread plus, per shard, a full ingress ring and the batch
-// its worker has popped.
+// its worker has popped. The ring holds shard_ring_depth rounded up to a
+// power of two (spsc_ring's sizing rule).
 buf::pool_config ingress_pool_config(const sn_config& cfg) {
-  const std::size_t ring_slots = spsc_ring<char>(cfg.shard_ring_depth).capacity();
+  const std::size_t ring_slots = std::bit_ceil(std::max<std::size_t>(cfg.shard_ring_depth, 1));
   return buf::pool_config{.slab_count = 1 + cfg.workers * (ring_slots + kWorkerBatch)};
 }
 
@@ -102,10 +100,6 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   terminus_->enable_telemetry(metrics_, &tracer_);
   if (config_.path_span_capacity > 0) terminus_->enable_path_tracing(&path_rec_);
   pipes_.set_metrics(metrics_);
-  if (config_.blackbox_capacity > 0) {
-    blackbox_ = std::make_unique<flight_recorder>(
-        flight_recorder::config{.capacity = config_.blackbox_capacity});
-  }
   // Liveness transitions become node event spans the collector correlates
   // with in-flight traces (a failover mid-trace shows up annotated, not as
   // a dangling path) — and black-box triggers, so the flight recorder
@@ -113,9 +107,7 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   pipes_.set_peer_status_hook([this](peer_id peer, bool up) {
     if (!up) {
       emit_node_event(trace::kAnnoPeerDown, peer);
-      if (blackbox_) {
-        blackbox_->trigger(kTrigPeerDown, path_rec_.now(), peer);
-      }
+      blackbox_.trigger(kTrigPeerDown, path_rec_.now(), peer);
       // A dead adjacency invalidates every cached forward that names it:
       // otherwise established flows blackhole until LRU eviction while
       // the slow path would happily re-resolve around the failure.
@@ -139,9 +131,6 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   if (config_.keepalive_interval.count() > 0) {
     ilp::liveness_config lcfg;
     lcfg.keepalive_interval = config_.keepalive_interval;
-    lcfg.miss_budget = config_.keepalive_miss_budget;
-    lcfg.reconnect_backoff = config_.reconnect_backoff;
-    lcfg.reconnect_backoff_max = config_.reconnect_backoff_max;
     // Node-unique jitter seed: peers of one recovered SN desynchronize.
     // An explicitly configured seed wins (root-seed plumbing).
     lcfg.jitter_seed = config_.liveness_jitter_seed != 0
@@ -150,15 +139,6 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
     pipes_.enable_liveness(clock_, lcfg);
     liveness_running_ = true;
     schedule_liveness_tick();
-  }
-  if (config_.profiler_hz > 0) {
-    profiler_ = std::make_unique<prof::profiler>(prof::profiler_config{
-        .sample_hz = config_.profiler_hz, .force_timer = config_.profiler_force_timer});
-    // The constructing thread is the control thread (it owns the event
-    // loop, the slow path and the egress drain); bind it now, arm
-    // immediately — worker shards self-register as they start.
-    profiler_->register_current_thread("control");
-    profiler_->arm();
   }
   pipes_.set_batch_deliver([this](peer_id from, std::span<ilp::opened_packet> pkts) {
     // Zero-copy dispatch: the terminus consumes views aliasing the opened
@@ -183,10 +163,6 @@ service_node::~service_node() {
     }
     if (sh->thread.joinable()) sh->thread.join();
   }
-  // Workers unregistered themselves on the way out; release the control
-  // thread's slot too (the destructing thread is the one that registered
-  // in the constructor — the SN lifecycle contract).
-  if (profiler_) profiler_->unregister_current_thread();
 }
 
 // ---- multi-core datapath (DESIGN.md §9) ------------------------------
@@ -194,26 +170,6 @@ service_node::~service_node() {
 void service_node::start_workers() {
   const std::size_t n = config_.workers;
   const std::size_t cache_cap = std::max<std::size_t>(std::size_t{64}, config_.cache_capacity / n);
-  // Placement (ISSUE 8): explicit worker_cpus wins; numa_aware derives an
-  // assignment by striping shards across NUMA nodes (each shard then gets
-  // its ring storage mbind'd onto its node below). Everything is advisory —
-  // on a single-node box or without the syscalls this degrades to the
-  // scheduler's choice, never to a failure.
-  worker_cpu_assign_.assign(n, -1);
-  if (!config_.worker_cpus.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      worker_cpu_assign_[i] = config_.worker_cpus[i % config_.worker_cpus.size()];
-    }
-  } else if (config_.numa_aware) {
-    const auto& topo = sys::topology::get();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& node = topo.nodes[i % topo.nodes.size()];
-      if (!node.cpus.empty()) {
-        worker_cpu_assign_[i] = node.cpus[(i / topo.nodes.size()) % node.cpus.size()];
-      }
-    }
-  }
-  if (config_.control_cpu >= 0) sys::pin_thread_to_cpu(config_.control_cpu);
   const std::size_t spill_max = config_.egress_spill_max;
   steerer_ = std::make_unique<flow_steerer>(config_.cache_hash_seed, n);
   bus_ = std::make_unique<cache_invalidation_bus>(n);
@@ -230,15 +186,6 @@ void service_node::start_workers() {
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<worker_shard>(i, config_, cache_cap, &clock_));
     worker_shard& sh = *shards_[i];
-    if (config_.numa_aware && worker_cpu_assign_[i] >= 0) {
-      // Land the shard's rings on its worker's node: the ingress slots are
-      // the worker's hottest read set, the egress slots its hottest writes.
-      const int node = sys::topology::get().node_of_cpu(worker_cpu_assign_[i]);
-      if (node >= 0) {
-        sys::bind_memory_to_node(sh.ingress.storage(), sh.ingress.storage_bytes(), node);
-        sys::bind_memory_to_node(sh.egress.storage(), sh.egress.storage_bytes(), node);
-      }
-    }
     sh.terminus = std::make_unique<pipe_terminus>(
         sh.cache, hub_->endpoint(i),
         [&sh, spill_max](peer_id to, const ilp::ilp_header& header, const_byte_span payload) {
@@ -352,7 +299,6 @@ void service_node::steer_views(std::span<std::pair<peer_id, buf::pkt_view>> data
 
 void service_node::steer_data_run_views(peer_id from,
                                         std::span<std::pair<peer_id, buf::pkt_view>> run) {
-  prof::cycle_scope sc(prof::cycle_stage::peek_steer);
   ilp::pipe* p = pipes_.pipe_for(from);
   if (p == nullptr) {
     // Data before any pipe: the pipe manager counts and logs the drop.
@@ -396,7 +342,6 @@ void service_node::steer_data_run_views(peer_id from,
 
 std::size_t service_node::drain_egress() {
   if (egress_paused_.load(std::memory_order_acquire)) return 0;
-  prof::cycle_scope sc(prof::cycle_stage::egress);
   std::size_t n = 0;
   for (auto& shp : shards_) {
     worker_shard& sh = *shp;
@@ -413,7 +358,6 @@ std::size_t service_node::drain_egress() {
 }
 
 std::size_t service_node::poll() {
-  prof::scoped_cycle_set cy(&control_cycles_);
   if (shards_.empty()) {
     const std::size_t n = terminus_->pump();
     if (n > 0) terminus_->flush_telemetry();
@@ -496,16 +440,7 @@ void service_node::worker_flush_telemetry(worker_shard& sh) {
 
 void service_node::worker_main(std::size_t shard) {
   worker_shard& sh = *shards_[shard];
-  if (shard < worker_cpu_assign_.size() && worker_cpu_assign_[shard] >= 0) {
-    sys::pin_thread_to_cpu(worker_cpu_assign_[shard]);
-  }
   trace::scoped_tracer st(&sh.tracer);
-  prof::scoped_cycle_set cycles(&sh.cycles);
-  if (profiler_) {
-    char name[16];
-    std::snprintf(name, sizeof(name), "shard%zu", shard);
-    profiler_->register_current_thread(name);
-  }
   std::uint32_t idle_spins = 0;
   while (!sh.stop.load(std::memory_order_acquire)) {
     // Fault-injection stall: spin without advancing the heartbeat or
@@ -594,9 +529,6 @@ void service_node::worker_main(std::size_t shard) {
     sh.parked.store(false, std::memory_order_release);
     idle_spins = 0;
   }
-  // Unbind from the sampler on the owning thread (the only place the TLS
-  // gate can be cleared race-free); tail samples fold in here.
-  if (profiler_) profiler_->unregister_current_thread();
 }
 
 void service_node::invalidate_connection(ilp::service_id service, ilp::connection_id conn) {
@@ -641,7 +573,6 @@ metrics_registry& service_node::shard_metrics(std::size_t shard) { return shards
 // ---- ingress entry points --------------------------------------------
 
 void service_node::on_datagram_views(std::span<std::pair<peer_id, buf::pkt_view>> datagrams) {
-  prof::scoped_cycle_set cy(&control_cycles_);
   if (!shards_.empty()) {
     steer_views(datagrams);
     return;
@@ -751,7 +682,6 @@ void service_node::schedule_stats_tick(
 }
 
 slowpath_response service_node::handle_slowpath(const slowpath_request& req) {
-  prof::cycle_scope sc(prof::cycle_stage::slowpath);
   // Deadline gate: a request that aged past its budget (e.g. behind a
   // slow module) is dropped rather than dispatched — its sender has long
   // since shed or moved on, and stale verdicts must not be installed.
@@ -800,12 +730,10 @@ slowpath_response service_node::handle_slowpath(const slowpath_request& req) {
 }
 
 void service_node::emit_node_event(std::uint16_t annotations, std::uint64_t correlate) {
-  if (blackbox_) {
-    blackbox_->record(fr_event{.time_ns = path_rec_.now(),
-                               .kind = fr_kind::lifecycle,
-                               .code = annotations,
-                               .a = correlate});
-  }
+  blackbox_.record(fr_event{.time_ns = path_rec_.now(),
+                            .kind = fr_kind::lifecycle,
+                            .code = annotations,
+                            .a = correlate});
   if (config_.path_span_capacity == 0) return;
   const std::uint64_t now = path_rec_.now();
   path_rec_.emit(trace::path_span{
@@ -835,11 +763,11 @@ std::size_t service_node::drain_path_spans(std::vector<trace::path_span>& out) {
   // the control thread lands in the ring, so a freeze dumps the recent
   // traced traffic alongside the lifecycle events (recorded at emission —
   // trace_id == 0 spans are skipped here to avoid double entry).
-  if (blackbox_ != nullptr && !blackbox_->frozen()) {
+  if (!blackbox_.frozen()) {
     for (std::size_t k = base; k < out.size(); ++k) {
       const trace::path_span& s = out[k];
       if (s.trace_id == 0) continue;
-      blackbox_->record(fr_event{
+      blackbox_.record(fr_event{
           .time_ns = s.start_ns,
           .kind = fr_kind::span,
           .code = (static_cast<std::uint32_t>(s.annotations) << 8) |
@@ -922,7 +850,7 @@ void service_node::restore_full(const_byte_span snapshot) {
   // this node around now get the failover annotation folded in, and the
   // black box freezes with whatever led up to the handoff.
   emit_node_event(trace::kAnnoFailover, config_.id);
-  if (blackbox_) blackbox_->trigger(kTrigFailover, path_rec_.now(), config_.id);
+  blackbox_.trigger(kTrigFailover, path_rec_.now(), config_.id);
 }
 
 void service_node::start_checkpointing(nanoseconds interval, std::function<void(bytes)> sink,
@@ -964,11 +892,11 @@ void service_node::start_health_plane(health_config cfg, std::uint64_t max_ticks
     wd_stalled_ticks_.assign(shards_.size(), 0);
     wd_flagged_.assign(shards_.size(), false);
   }
-  if (blackbox_ && health_cfg_.blackbox_sink) {
+  if (health_cfg_.blackbox_sink) {
     // The freeze hook runs on whichever thread fired the trigger; both the
     // dump and the sink must therefore be safe off the control thread
     // (dump_json reads the ring via the seqlock protocol — it is).
-    blackbox_->set_freeze_hook([this](std::uint32_t) {
+    blackbox_.set_freeze_hook([this](std::uint32_t) {
       // Re-read the sink at fire time: a later start_health_plane may have
       // replaced the config (possibly with no sink) while this hook stays.
       if (health_cfg_.blackbox_sink) health_cfg_.blackbox_sink(dump_blackbox_json());
@@ -1043,11 +971,8 @@ void service_node::health_tick() {
         metrics_.get_gauge("sn.shard.stalled", shard_label).set(1);
         IE_LOG(warn) << "service_node" << kv("node", config_.id) << kv("stalled_shard", i)
                      << kv("heartbeat", hb);
-        if (blackbox_) {
-          blackbox_->record(
-              fr_event{.time_ns = now_ns, .kind = fr_kind::watchdog, .a = i, .b = hb});
-          blackbox_->trigger(kTrigWatchdog, now_ns, i, hb);
-        }
+        blackbox_.record(fr_event{.time_ns = now_ns, .kind = fr_kind::watchdog, .a = i, .b = hb});
+        blackbox_.trigger(kTrigWatchdog, now_ns, i, hb);
       }
     } else {
       wd_stalled_ticks_[i] = 0;
@@ -1060,10 +985,6 @@ void service_node::health_tick() {
   }
 
   refresh_health_gauges();
-  // Profiler drain + hot-stack snapshot BEFORE the SLO pass: a burn-rate
-  // page or watchdog freeze this tick then dumps a postmortem whose
-  // hot-stack table covers the samples leading up to the fault.
-  profile_tick();
 
   // Merged cumulative snapshot into the sliding-window ring; the SLO pass
   // reads the windows the tick just updated.
@@ -1074,14 +995,12 @@ void service_node::health_tick() {
   health_alert_scratch_.clear();
   health_slo_->evaluate(now, &health_alert_scratch_);
   for (const slo::slo_alert& a : health_alert_scratch_) {
-    if (blackbox_) {
-      blackbox_->record(fr_event{.time_ns = a.at_ns,
-                                 .kind = fr_kind::alert,
-                                 .code = static_cast<std::uint32_t>(a.state),
-                                 .a = static_cast<std::uint64_t>(a.prev),
-                                 .b = static_cast<std::uint64_t>(a.burn_fast * 1000.0)});
-      if (a.state == slo::slo_state::page) blackbox_->trigger(kTrigSloPage, a.at_ns);
-    }
+    blackbox_.record(fr_event{.time_ns = a.at_ns,
+                              .kind = fr_kind::alert,
+                              .code = static_cast<std::uint32_t>(a.state),
+                              .a = static_cast<std::uint64_t>(a.prev),
+                              .b = static_cast<std::uint64_t>(a.burn_fast * 1000.0)});
+    if (a.state == slo::slo_state::page) blackbox_.trigger(kTrigSloPage, a.at_ns);
     if (health_cfg_.alert_sink) health_cfg_.alert_sink(a);
   }
   health_slo_->expose(metrics_);
@@ -1092,80 +1011,12 @@ void service_node::health_tick() {
     if (s.key == "sn.slowpath.shed") {
       const auto shed_total = static_cast<std::uint64_t>(s.value);
       if (shed_total > last_shed_total_) {
-        if (blackbox_) {
-          blackbox_->trigger(kTrigShed, now_ns, shed_total - last_shed_total_);
-        }
+        blackbox_.trigger(kTrigShed, now_ns, shed_total - last_shed_total_);
         last_shed_total_ = shed_total;
       }
       break;
     }
   }
-}
-
-void service_node::profile_tick() {
-  if (!profiler_) return;
-  profiler_->drain();
-  // Render the top-N table now, on the control thread, and publish it
-  // lock-free: a freeze-path dump_blackbox_json (any thread) only loads
-  // the shared_ptr — it never touches the profiler's aggregation mutex.
-  hot_stacks_snapshot_.store(std::make_shared<const std::string>(
-                                 profiler_->hot_stacks_json(kHotStacksTopN)),
-                             std::memory_order_release);
-  metrics_.get_gauge("sn.profile.samples").set(static_cast<std::int64_t>(profiler_->total_samples()));
-  metrics_.get_gauge("sn.profile.dropped").set(static_cast<std::int64_t>(profiler_->total_dropped()));
-
-  // Per-stage cycle shares: delta since the last tick over control +
-  // every shard's cycle set, as percent of all attributed cycles. The
-  // cheap cross-check for the sampled stacks (DESIGN.md §15).
-  std::array<std::uint64_t, prof::kCycleStageCount> cur{};
-  for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-    cur[s] = control_cycles_.self[s].load(std::memory_order_relaxed);
-    for (const auto& sh : shards_) cur[s] += sh->cycles.self[s].load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_delta = 0;
-  for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-    total_delta += cur[s] - last_stage_cycles_[s];
-  }
-  if (total_delta > 0) {
-    for (std::size_t s = 0; s < prof::kCycleStageCount; ++s) {
-      const std::uint64_t delta = cur[s] - last_stage_cycles_[s];
-      metrics_
-          .get_gauge("sn.profile.stage_share",
-                     {{"stage", prof::cycle_stage_name(static_cast<prof::cycle_stage>(s))}})
-          .set(static_cast<std::int64_t>(100 * delta / total_delta));
-    }
-  }
-  last_stage_cycles_ = cur;
-}
-
-void service_node::profile_refresh() { profile_tick(); }
-
-std::string service_node::export_profile_folded() {
-  if (!profiler_) return "";
-  profiler_->drain();
-  return profiler_->folded();
-}
-
-std::string service_node::export_profile_json() {
-  if (!profiler_) return "{}";
-  profiler_->drain();
-  return profiler_->export_json();
-}
-
-std::string service_node::dump_blackbox_json() const {
-  std::string out = blackbox_ ? blackbox_->dump_json() : std::string("{}");
-  // Splice the last-published hot-stack table into the postmortem. The
-  // load is lock-free (freeze hooks run on whichever thread tripped the
-  // trigger and must never block); "[]" when the profiler is disarmed or
-  // hasn't ticked yet.
-  std::shared_ptr<const std::string> snap = hot_stacks_snapshot_.load(std::memory_order_acquire);
-  const std::string hot = (profiler_ && snap) ? *snap : std::string("[]");
-  auto close = out.rfind('}');
-  if (close != std::string::npos) {
-    const bool empty_obj = close > 0 && out[close - 1] == '{';
-    out.insert(close, (empty_obj ? "\"hot_stacks\":" : ",\"hot_stacks\":") + hot);
-  }
-  return out;
 }
 
 void service_node::inject_worker_stall(std::size_t shard, bool on) {

@@ -28,7 +28,6 @@
 //                   the slow path still run on the control thread.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -47,7 +46,6 @@
 #include "common/clock.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
-#include "common/prof.h"
 #include "common/ring.h"
 #include "common/slo.h"
 #include "common/timeseries.h"
@@ -92,28 +90,12 @@ struct sn_config {
   // lossy by contract, unbounded memory growth is not. 0 = unbounded.
   std::size_t egress_spill_max = 4096;
 
-  // ---- placement (ISSUE 8) ----
-  // Explicit worker pinning: shard k runs on worker_cpus[k % size()].
-  // Empty + numa_aware derives an assignment from the machine topology
-  // (shards striped across NUMA nodes); empty otherwise leaves the
-  // scheduler in charge.
-  std::vector<int> worker_cpus{};
-  // Pin the control thread (the caller of start_workers / the event loop)
-  // to this CPU; -1 leaves it unpinned.
-  int control_cpu = -1;
-  // NUMA-aware placement: derive worker CPUs per node (when worker_cpus is
-  // empty) and mbind each shard's ingress/egress ring storage onto the
-  // node its worker runs on. Advisory — a single-node box is a no-op.
-  bool numa_aware = false;
-
   // ---- robustness (DESIGN.md §10) ----
   // Pipe keepalives: 0 disables. When set, the SN arms pipe_manager
   // liveness at construction and drives liveness_tick() off its scheduler
-  // every interval until stop_liveness().
+  // every interval until stop_liveness(). The miss budget and reconnect
+  // backoff are pipe_manager constants.
   nanoseconds keepalive_interval{0};
-  std::uint32_t keepalive_miss_budget = 3;
-  nanoseconds reconnect_backoff = std::chrono::milliseconds(50);
-  nanoseconds reconnect_backoff_max = std::chrono::seconds(2);
   // Liveness keepalive-jitter seed. 0 derives a node-unique default from
   // the SN id; deployments that plumb one root seed everywhere (scenario
   // suites) set it explicitly so the jitter stream is part of the seed.
@@ -124,22 +106,6 @@ struct sn_config {
   nanoseconds slowpath_deadline{0};
   std::size_t slowpath_high_water = 0;
   nanoseconds shed_ttl = std::chrono::milliseconds(50);
-
-  // ---- SLO health plane (ISSUE 7) ----
-  // Black-box flight recorder ring slots (0 disables). The recorder is
-  // passive until events are fed to it (span drains, lifecycle events,
-  // triggers), so the default costs nothing on the packet path.
-  std::size_t blackbox_capacity = 1024;
-
-  // ---- continuous profiling plane (ISSUE 10, DESIGN.md §15) ----
-  // On-CPU sampling rate in Hz per thread; 0 disables the profiler
-  // entirely (no signal handler, no slot claims, no datapath cost beyond
-  // the always-compiled cycle scopes' TLS checks). The prime default in
-  // prof.h (97) is what deployments that arm it should use.
-  std::uint32_t profiler_hz = 0;
-  // Skip the perf_event_open probe and use the CPU-clock timer backend
-  // (deterministic backend choice for tests; see prof.h).
-  bool profiler_force_timer = false;
 };
 
 class service_node final : public node_services {
@@ -344,30 +310,11 @@ class service_node final : public node_services {
   const slo::slo_monitor* health_slos() const { return health_slo_.get(); }
   std::uint64_t watchdog_stalls() const { return watchdog_stalls_; }
 
-  // The black-box flight recorder (null when blackbox_capacity == 0).
-  flight_recorder* blackbox() { return blackbox_.get(); }
-  // Postmortem dump (empty JSON object when the recorder is disabled).
-  // With the profiler armed, the dump carries a "hot_stacks" table — the
-  // top-N snapshot last rendered by a health tick / profile_refresh(),
-  // read lock-free so a freeze-path dump never blocks on profiler state.
-  std::string dump_blackbox_json() const;
-
-  // ---- continuous profiling plane (ISSUE 10, DESIGN.md §15) ----
-
-  // Null when profiler_hz == 0. Worker shards self-register as shard<k>;
-  // the constructing (control) thread registers as "control".
-  prof::profiler* profiler() { return profiler_.get(); }
-
-  // Drains pending samples and refreshes the postmortem hot-stack
-  // snapshot — what a health tick does, callable on demand (tools, tests,
-  // pre-dump). Control-thread side; no-op without a profiler.
-  void profile_refresh();
-
-  // FlameGraph-collapsed folded stacks / profile JSON after an implicit
-  // drain (empty string / "{}" without a profiler). The exposition
-  // counterparts of export_prometheus for the profiling plane.
-  std::string export_profile_folded();
-  std::string export_profile_json();
+  // The black-box flight recorder (the recorder's default 1024 slots;
+  // never null).
+  flight_recorder* blackbox() { return &blackbox_; }
+  // Postmortem dump: the flight recorder's JSON.
+  std::string dump_blackbox_json() const { return blackbox_.dump_json(); }
 
   // Fault-injection hook (tests, chaos drills): while on, shard
   // `shard`'s worker spins without advancing its heartbeat or consuming
@@ -436,10 +383,6 @@ class service_node final : public node_services {
     alignas(64) std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<bool> stall{false};
 
-    // Per-stage rdtsc self-time, written by this shard's cycle scopes,
-    // read by the health tick (relaxed atomics inside).
-    prof::cycle_set cycles;
-
     std::atomic<bool> stop{false};
     std::atomic<bool> parked{false};
     std::mutex doorbell_mu;
@@ -472,9 +415,6 @@ class service_node final : public node_services {
   // Point-in-time saturation/loss gauges (ring depths, slow-path lag,
   // tracer drop accounting) refreshed before any snapshot leaves the node.
   void refresh_health_gauges();
-  // Profiler drain + hot-stack snapshot + per-stage cycle-share gauges,
-  // folded into every health tick before the merged snapshot is taken.
-  void profile_tick();
 
   // Parallel-mode plumbing.
   void start_workers();
@@ -529,11 +469,10 @@ class service_node final : public node_services {
   std::vector<std::unique_ptr<worker_shard>> shards_;
   std::vector<counter*> m_steered_;        // sn.steer.pkts{shard=k}
   std::vector<counter*> m_ingress_drops_;  // sn.shard.ingress_drops{shard=k}
-  std::vector<int> worker_cpu_assign_;     // per-shard CPU, -1 = unpinned
   std::atomic<bool> egress_paused_{false};
 
   // ---- SLO health plane state (ISSUE 7) ----
-  std::unique_ptr<flight_recorder> blackbox_;
+  flight_recorder blackbox_{flight_recorder::config{}};
   std::unique_ptr<timeseries_store> health_ts_;
   std::unique_ptr<slo::slo_monitor> health_slo_;
   health_config health_cfg_;
@@ -544,16 +483,6 @@ class service_node final : public node_services {
   std::uint64_t watchdog_stalls_ = 0;
   std::uint64_t last_shed_total_ = 0;  // shed-watermark trigger edge detector
   std::vector<slo::slo_alert> health_alert_scratch_;
-
-  // ---- continuous profiling plane state (ISSUE 10) ----
-  std::unique_ptr<prof::profiler> profiler_;
-  prof::cycle_set control_cycles_;  // control-thread stage cycles
-  // Rendered top-N hot-stack JSON, refreshed by profile_tick(). The
-  // freeze-path postmortem dump loads it lock-free — rendering (which
-  // takes the profiler mutex) never happens on a freeze path.
-  std::atomic<std::shared_ptr<const std::string>> hot_stacks_snapshot_;
-  // Per-stage cycle baselines for the share gauges (control thread only).
-  std::array<std::uint64_t, prof::kCycleStageCount> last_stage_cycles_{};
 
   // Batch-path scratch, reused across calls.
   std::vector<trace::path_span> span_drain_scratch_;

@@ -25,22 +25,10 @@ peer_id deployment::add_sn(edomain_id domain) {
   auto sn = std::make_unique<core::service_node>(
       core::sn_config{.id = node,
                       .edomain = domain,
-                      .cache_capacity = config_.cache_capacity,
                       .cache_hash_seed = id_rng_.next(),
                       .path_span_capacity = config_.sn_path_span_capacity,
-                      .workers = config_.sn_workers,
-                      .egress_spill_max = config_.sn_egress_spill_max,
-                      .worker_cpus = config_.sn_worker_cpus,
-                      .control_cpu = config_.sn_control_cpu,
-                      .numa_aware = config_.sn_numa_aware,
                       .keepalive_interval = config_.sn_keepalive_interval,
-                      .liveness_jitter_seed = id_rng_.next() | 1,
-                      .slowpath_deadline = config_.sn_slowpath_deadline,
-                      .slowpath_high_water = config_.sn_slowpath_high_water,
-                      .shed_ttl = config_.sn_shed_ttl,
-                      .blackbox_capacity = config_.sn_blackbox_capacity,
-                      .profiler_hz = config_.sn_profiler_hz,
-                      .profiler_force_timer = config_.sn_profiler_force_timer},
+                      .liveness_jitter_seed = id_rng_.next() | 1},
       net_.sim_clock(),
       [this, node](peer_id to, bytes datagram) {
         net_.send(node, static_cast<sim::node_id>(to), std::move(datagram));

@@ -33,7 +33,6 @@ struct deployment_config {
   // §3.2 optimization: SNs open on-demand direct pipes to remote-edomain
   // SNs instead of relaying through gateways.
   bool direct_interdomain = false;
-  std::size_t cache_capacity = 4096;
   bool hosts_allow_direct = true;
 
   // ---- cross-hop path tracing (ISSUE 5) ----
@@ -45,39 +44,8 @@ struct deployment_config {
   // Pipe keepalives for the SNs (0 = liveness off, the default): needed by
   // topologies that want peer-down / failover events in their traces.
   nanoseconds sn_keepalive_interval{0};
-  // Black-box flight recorder ring per SN; 0 disables it.
-  std::size_t sn_blackbox_capacity = 1024;
-
-  // ---- slow-path degradation (DESIGN.md §10), forwarded to sn_config ----
-  // Deadline stamped on slow-path requests (0 = none) and the in-flight
-  // high-water mark past which the terminus sheds with a TTL'd default
-  // drop verdict (0 = legacy blocking). Scenario suites arm these to model
-  // overload; steady-state deployments leave them off.
-  nanoseconds sn_slowpath_deadline{0};
-  std::size_t sn_slowpath_high_water = 0;
-  nanoseconds sn_shed_ttl = std::chrono::milliseconds(50);
-
-  // ---- multi-core datapath + placement (ISSUE 8) ----
-  // Worker shards per SN (0 = inline single-threaded, the default — the
-  // simulator topologies stay deterministic unless a deployment opts in).
-  std::size_t sn_workers = 0;
-  // Placement knobs forwarded to sn_config verbatim: explicit worker CPU
-  // list, control-thread CPU, NUMA-aware derivation (see service_node.h).
-  std::vector<int> sn_worker_cpus{};
-  int sn_control_cpu = -1;
-  bool sn_numa_aware = false;
-  // Bound for each shard's worker-private egress spill deque.
-  std::size_t sn_egress_spill_max = 4096;
-
-  // ---- continuous profiling plane (ISSUE 10), forwarded to sn_config ----
-  // On-CPU sampling Hz per SN thread; 0 (the default) leaves the profiler
-  // off, so simulator topologies and scenario suites pay nothing unless a
-  // deployment opts in. Sampling never touches simulated behavior (the
-  // SIGPROF handler only reads stacks; SA_RESTART hides it from syscalls)
-  // — the scenario determinism guard asserts exactly that.
-  std::uint32_t sn_profiler_hz = 0;
-  // Deterministic backend choice for tests (prof.h: skip the perf probe).
-  bool sn_profiler_force_timer = false;
+  // Every other sn_config field keeps its default: SNs are inline
+  // (workers = 0), so simulator topologies stay deterministic.
 };
 
 struct host_identity {

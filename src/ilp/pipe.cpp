@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/prof.h"
 #include "common/serial.h"
 #include "common/trace.h"
 #include "crypto/kdf.h"
@@ -81,7 +80,6 @@ std::optional<std::pair<ilp_header, bytes>> rx_core::open(const_byte_span body,
 std::size_t rx_core::decrypt_batch_mut(std::span<const byte_span> bodies,
                                        std::vector<std::optional<opened_packet>>& out,
                                        pipe_stats& stats) {
-  prof::cycle_scope cyc(prof::cycle_stage::decrypt);
   const std::size_t n = bodies.size();
   out.clear();
   out.resize(n);

@@ -318,7 +318,6 @@ void pipe_manager::handle_data(peer_id peer, const_byte_span body) {
 
 void pipe_manager::enable_liveness(const clock& clk, liveness_config cfg) {
   liveness_clock_ = &clk;
-  liveness_cfg_ = cfg;
   jitter_rng_.emplace(cfg.jitter_seed);
   // Pipes established before liveness was armed get tracked from now on;
   // establish() only creates entries once liveness_clock_ is set.
@@ -419,7 +418,7 @@ void pipe_manager::declare_down(peer_id peer, liveness_state& st, time_point now
   IE_LOG(warn) << "pipe_manager" << kv("self", self_) << kv("peer", peer)
                << kv("liveness", "peer-down") << kv("missed", st.stats.missed);
   if (peer_status_) peer_status_(peer, false);
-  st.backoff = liveness_cfg_.reconnect_backoff;
+  st.backoff = kReconnectBackoff;
   attempt_reconnect(peer, st, now);
 }
 
@@ -443,7 +442,7 @@ void pipe_manager::attempt_reconnect(peer_id peer, liveness_state& st, time_poin
         jitter_rng_->below(static_cast<std::uint64_t>(st.backoff.count() / 4) + 1)));
   }
   st.next_attempt = now + st.backoff + jitter;
-  st.backoff = std::min(st.backoff * 2, liveness_cfg_.reconnect_backoff_max);
+  st.backoff = std::min(st.backoff * 2, kReconnectBackoffMax);
 }
 
 void pipe_manager::liveness_tick() {
@@ -459,7 +458,7 @@ void pipe_manager::liveness_tick() {
     if (st.awaiting_ack) {
       ++st.stats.missed;
       ++st.consecutive_misses;
-      if (st.consecutive_misses >= liveness_cfg_.miss_budget) {
+      if (st.consecutive_misses >= kMissBudget) {
         declare_down(peer, st, now);
         continue;
       }

@@ -32,15 +32,12 @@ namespace interedge::ilp {
 
 // Liveness policy for established pipes (see DESIGN.md §10): the owner
 // calls liveness_tick() every keepalive_interval; a peer that misses
-// `miss_budget` consecutive probes is declared down, its pipe torn down,
-// and reconnection attempted with exponential backoff + jitter. The fresh
-// handshake on re-establishment is the forced rekey — a revived peer never
-// resumes the old keys.
+// pipe_manager::kMissBudget consecutive probes is declared down, its pipe
+// torn down, and reconnection attempted with exponential backoff + jitter.
+// The fresh handshake on re-establishment is the forced rekey — a revived
+// peer never resumes the old keys.
 struct liveness_config {
   nanoseconds keepalive_interval = std::chrono::milliseconds(100);
-  std::uint32_t miss_budget = 3;
-  nanoseconds reconnect_backoff = std::chrono::milliseconds(50);
-  nanoseconds reconnect_backoff_max = std::chrono::seconds(2);
   // Jitter is deterministic given the seed (simulator-friendly).
   std::uint64_t jitter_seed = 0x11fe11fe;
 };
@@ -132,12 +129,18 @@ class pipe_manager {
   std::size_t pending_handshakes() const { return pending_.size(); }
 
   // ---- liveness ----
+  // Consecutive unanswered probes that declare a peer down, and the
+  // reconnect backoff: kReconnectBackoff after the first attempt, doubling
+  // up to kReconnectBackoffMax, each plus up to a quarter of jitter.
+  static constexpr std::uint32_t kMissBudget = 3;
+  static constexpr nanoseconds kReconnectBackoff = std::chrono::milliseconds(50);
+  static constexpr nanoseconds kReconnectBackoffMax = std::chrono::seconds(2);
+
   // Arms keepalive probing. The manager does not own a timer; the owner
   // calls liveness_tick() every cfg.keepalive_interval (the clock is only
   // read, so any clock& — simulated or real — works).
   void enable_liveness(const clock& clk, liveness_config cfg = {});
   bool liveness_enabled() const { return liveness_clock_ != nullptr; }
-  const liveness_config& liveness_cfg() const { return liveness_cfg_; }
 
   // One probe interval: counts outstanding probes as misses, declares
   // peers past the miss budget down (pipe torn down, status hook fired,
@@ -237,7 +240,6 @@ class pipe_manager {
   counter* keepalive_acked_ = nullptr;
   counter* reconnects_ = nullptr;
   const clock* liveness_clock_ = nullptr;
-  liveness_config liveness_cfg_;
   std::optional<rng> jitter_rng_;
   std::map<peer_id, liveness_state> liveness_;
   // Batch-path scratch, reused across on_datagram_batch_mut calls.

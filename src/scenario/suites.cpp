@@ -174,15 +174,12 @@ struct stream_stats {
 // The caching bundle must absorb the spike at the edge — p99 stays inside
 // the latency SLO, the origin sees a small fraction of requests, and no
 // burn-rate page fires.
-scenario_report run_flash_crowd(std::uint64_t seed, const suite_options& opts) {
+scenario_report run_flash_crowd(std::uint64_t seed) {
   scenario_report rep;
   rep.suite = "flash_crowd";
   rep.seed = seed;
 
-  deploy::deployment_config dcfg = scenario_config(seed);
-  dcfg.sn_profiler_hz = opts.profiler_hz;
-  dcfg.sn_profiler_force_timer = opts.profiler_force_timer;
-  deploy::deployment d(dcfg);
+  deploy::deployment d(scenario_config(seed));
   const edomain_id dom1 = d.add_edomain();
   const peer_id gw1 = d.add_sn(dom1);
   const peer_id sn_a = d.add_sn(dom1);

@@ -23,18 +23,7 @@
 
 namespace interedge::scenario {
 
-// Cross-suite knobs that must never perturb behavior. The profiler fields
-// arm the continuous profiling plane (ISSUE 10) on every SN in the suite's
-// deployment; sampling is observation-only (SIGPROF handler reads stacks,
-// SA_RESTART hides it from syscalls), so a suite run armed at any Hz
-// produces the same behavior_digest as a run with the profiler off — the
-// determinism guard in scenario_suites_test asserts exactly that.
-struct suite_options {
-  std::uint32_t profiler_hz = 0;
-  bool profiler_force_timer = false;
-};
-
-scenario_report run_flash_crowd(std::uint64_t seed, const suite_options& opts = {});
+scenario_report run_flash_crowd(std::uint64_t seed);
 scenario_report run_pubsub_storm(std::uint64_t seed);
 scenario_report run_ddos_mix(std::uint64_t seed);
 scenario_report run_mobility_churn(std::uint64_t seed);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -19,13 +20,66 @@ TEST(SpscRing, PushPopSingleThread) {
 }
 
 TEST(SpscRing, FullRingRejectsPush) {
-  spsc_ring<int> ring(2);  // rounds up; usable capacity >= 2
+  spsc_ring<int> ring(2);
   std::size_t pushed = 0;
   while (ring.try_push(static_cast<int>(pushed))) ++pushed;
+  EXPECT_EQ(pushed, 2u);
   EXPECT_EQ(pushed, ring.capacity());
   EXPECT_FALSE(ring.try_push(999));
   ring.try_pop();
   EXPECT_TRUE(ring.try_push(999));
+}
+
+// A power-of-two request gets exactly that many slots; anything else rounds
+// up to the next power of two.
+TEST(SpscRing, CapacityIsTheRequestedSlotCount) {
+  for (std::size_t n : {1u, 2u, 4u, 1024u}) EXPECT_EQ(spsc_ring<int>(n).capacity(), n) << n;
+  EXPECT_EQ(spsc_ring<int>(5).capacity(), 8u);
+}
+
+// Exactly capacity() pushes fit and the next one fails, however far the
+// free-running indices have advanced: each round wraps the ring once.
+TEST(SpscRing, ExactlyCapacityFitsAcrossWraps) {
+  for (std::size_t n : {1u, 2u, 4u, 5u}) {
+    spsc_ring<int> ring(n);
+    const std::size_t cap = ring.capacity();
+    int next_push = 0;
+    int next_pop = 0;
+    for (int round = 0; round < 4; ++round) {
+      for (std::size_t i = 0; i < cap; ++i) ASSERT_TRUE(ring.try_push(next_push++)) << n;
+      EXPECT_FALSE(ring.try_push(-1)) << n;
+      EXPECT_EQ(ring.size_approx(), cap) << n;
+      for (std::size_t i = 0; i < cap; ++i) ASSERT_EQ(ring.try_pop().value(), next_pop++) << n;
+      EXPECT_FALSE(ring.try_pop().has_value()) << n;
+      EXPECT_TRUE(ring.empty()) << n;
+    }
+  }
+}
+
+TEST(SpscRing, BatchCallsFillExactlyCapacityAcrossWraps) {
+  for (std::size_t n : {1u, 2u, 4u, 5u}) {
+    spsc_ring<int> ring(n);
+    const std::size_t cap = ring.capacity();
+    int next = 0;
+    int expect = 0;
+    // Offset the indices by one, so every batch straddles the end of the
+    // slot array.
+    ASSERT_TRUE(ring.try_push(next++));
+    ASSERT_EQ(ring.try_pop().value(), expect++);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<int> in;
+      for (std::size_t i = 0; i <= cap; ++i) in.push_back(next + static_cast<int>(i));
+      ASSERT_EQ(ring.try_push_batch(std::span<int>(in)), cap) << n;
+      next += static_cast<int>(cap);
+      EXPECT_FALSE(ring.try_push(-1)) << n;
+      std::vector<int> one{-1};
+      EXPECT_EQ(ring.try_push_batch(std::span<int>(one)), 0u) << n;
+      std::vector<int> out;
+      ASSERT_EQ(ring.try_pop_batch(out, cap + 1), cap) << n;
+      for (int v : out) EXPECT_EQ(v, expect++) << n;
+      EXPECT_TRUE(ring.empty()) << n;
+    }
+  }
 }
 
 TEST(SpscRing, FifoOrderPreserved) {

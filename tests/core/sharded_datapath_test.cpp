@@ -310,7 +310,7 @@ TEST(ShardedDatapath, IngressRingFullDropsAreCounted) {
 
 // ISSUE 8: the worker-side egress spill is bounded. With the control
 // thread's drain paused, a burst against a tiny egress ring fills the ring
-// (depth 4 rounds to 8 slots, 7 usable), then the spill deque up to
+// (depth 4: 4 slots), then the spill deque up to
 // egress_spill_max, and every forward past that is dropped and counted —
 // never buffered without bound. Unpausing drains exactly the retained
 // forwards; the drop counter does not move again.
@@ -326,7 +326,7 @@ TEST(ShardedDatapath, EgressSpillBoundDropsAndRecovers) {
   cfg.edomain = 1;
   cfg.workers = 1;
   cfg.shard_ring_depth = 1024;  // ingress swallows the whole burst
-  cfg.egress_ring_depth = 4;    // -> 7 usable slots
+  cfg.egress_ring_depth = 4;
   cfg.egress_spill_max = 4;
   auto sn = std::make_unique<service_node>(
       cfg, net.sim_clock(),
@@ -339,7 +339,7 @@ TEST(ShardedDatapath, EgressSpillBoundDropsAndRecovers) {
   sn->env().deploy(std::make_unique<testing::forwarder_module>());
 
   constexpr int kPackets = 64;
-  constexpr std::uint64_t kRetained = 7 + 4;  // ring + spill
+  constexpr std::uint64_t kRetained = 4 + 4;  // ring + spill
   constexpr std::uint64_t kDropped = kPackets - kRetained;
 
   sn->pause_egress_drain(true);

@@ -379,7 +379,7 @@ TEST(PipeLiveness, DataTrafficSuppressesFalsePositives) {
   a->mgr->connect(b->node);
   net.run();
 
-  a->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms, .miss_budget = 3});
+  a->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
   // b sends data to a every 5 ms, keeping the pipe visibly alive at a.
   std::function<void()> chatter = [&] {
     b->mgr->send(a->node, header_for(1), to_bytes("d"));

@@ -98,22 +98,6 @@ TEST(ScenarioSuites, ReplayIsDigestIdentical) {
   }
 }
 
-TEST(ScenarioSuites, ProfilerArmedRunIsBehaviorIdentical) {
-  // The continuous profiling plane (ISSUE 10) is observation-only: a
-  // flash_crowd run with every SN sampled at 997Hz must produce the exact
-  // behavior_digest of a run with the profiler off. SA_RESTART on the
-  // SIGPROF handler means no syscall in the suite ever sees EINTR, and the
-  // handler itself only reads the stack — any divergence here is a
-  // profiler bug leaking into simulated behavior.
-  const scenario_report off = run_flash_crowd(kSeed);
-  suite_options armed;
-  armed.profiler_hz = 997;
-  armed.profiler_force_timer = true;  // deterministic backend under any CI
-  const scenario_report on = run_flash_crowd(kSeed, armed);
-  EXPECT_EQ(off.behavior_digest, on.behavior_digest);
-  EXPECT_EQ(off.to_json(), on.to_json());
-}
-
 TEST(ScenarioSuites, ReportJsonIsMachineReadable) {
   const scenario_report rep = run_flash_crowd(kSeed);
   const std::string json = rep.to_json();

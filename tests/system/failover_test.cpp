@@ -110,8 +110,7 @@ TEST(Failover, StandbyRestoresCheckpointAndResumesTraffic) {
     ++checkpoints_taken;
   });
 
-  alice->mgr->enable_liveness(net.sim_clock(),
-                              {.keepalive_interval = 10ms, .miss_budget = 3});
+  alice->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
   schedule_host_liveness(net, *alice, 10ms, 600ms);
 
   // Phase 1: warm traffic through the primary — forwarded deliveries to
@@ -181,8 +180,7 @@ TEST(Failover, SnKeepalivesSurvivePartitionAndReconnect) {
   // partition within the miss budget and reconnects with backoff.
   simulation net;
   testing::identity_router route;
-  auto a = make_sn(net, &route,
-                   sn_config{.keepalive_interval = 10ms, .keepalive_miss_budget = 3});
+  auto a = make_sn(net, &route, sn_config{.keepalive_interval = 10ms});
   auto b = make_sn(net, &route, sn_config{});
   const node_id an = static_cast<node_id>(a->node_id());
   const node_id bn = static_cast<node_id>(b->node_id());

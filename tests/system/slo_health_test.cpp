@@ -12,7 +12,6 @@
 #include <chrono>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flight_recorder.h"
@@ -327,107 +326,19 @@ TEST(SloHealth, WatchdogFlagsInjectedShardStallAndRecovers) {
   EXPECT_NE(dump.find("\"trigger\":\"watchdog\""), std::string::npos);
   EXPECT_NE(dump.find("\"kind\":\"watchdog\""), std::string::npos);
 
-  // Recovery: clear the stall, let the shard drain, and the next health
-  // window un-flags it.
+  // Recovery: clear the stall and let the shard drain. This SN arms no
+  // keepalives and only data datagrams enter shard rings, so once
+  // wait_idle returns the ring is empty and consumed == pushed: the first
+  // health tick sees no pending work and un-flags the shard.
   sn->inject_worker_stall(0, false);
   ASSERT_TRUE(sn->wait_idle(std::chrono::milliseconds(10000)));
   sn->blackbox()->rearm();
-  // The recovery ticks are sim events: a whole max_ticks run executes in
-  // microseconds of real time. If keepalives re-filled the ring and the
-  // worker OS thread is starved by parallel test load for just that long,
-  // every tick sees "pending, heartbeat unchanged" and the flag survives
-  // the round — so retry bounded rounds instead of asserting on one.
-  bool cleared = false;
-  for (int round = 0; round < 50 && !cleared; ++round) {
-    sn->start_health_plane(hc, /*max_ticks=*/5);
-    net.run();
-    cleared =
-        sn->metrics().get_gauge("sn.shard.stalled", {{"shard", "0"}}).value() == 0;
-    if (!cleared) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(cleared);
-  EXPECT_EQ(bob->received, 8);
-}
-
-// ---- profiling plane (ISSUE 10): postmortems carry hot stacks ---------
-
-// CPU burner the sampler can attribute; static so the .symtab fallback is
-// also exercised through the SN-level path.
-__attribute__((noinline)) static std::uint64_t slo_health_profile_spin(int ms) {
-  volatile std::uint64_t acc = 1;
-  timespec start{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start);
-  for (;;) {
-    for (int i = 0; i < 4096; ++i) acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-    timespec now{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
-    if ((now.tv_sec - start.tv_sec) * 1000 + (now.tv_nsec - start.tv_nsec) / 1000000 >= ms) break;
-  }
-  return acc;
-}
-
-TEST(SloHealth, FrozenPostmortemEmbedsHotStacksWhenProfilerArmed) {
-  simulation net;
-  core::testing::identity_router route;
-  auto alice = make_host(net);
-  auto bob = make_host(net);
-
-  const node_id node = net.add_node(nullptr);
-  core::sn_config cfg;
-  cfg.id = node;
-  cfg.edomain = 1;
-  cfg.blackbox_capacity = 256;
-  cfg.profiler_hz = 997;
-  cfg.profiler_force_timer = true;  // deterministic backend under any CI
-  auto sn = std::make_unique<core::service_node>(
-      cfg, net.sim_clock(),
-      [&net, node](peer_id to, bytes d) { net.send(node, static_cast<node_id>(to), std::move(d)); },
-      [&net](nanoseconds delay, std::function<void()> fn) { net.after(delay, std::move(fn)); },
-      &route);
-  net.set_handler(node, [raw = sn.get()](node_id from, const bytes& data) {
-    raw->on_datagram(from, data);
-  });
-  sn->env().deploy(std::make_unique<core::testing::forwarder_module>());
-  ASSERT_NE(sn->profiler(), nullptr);
-  ASSERT_TRUE(sn->profiler()->armed());
-
-  // Give the sampler something to catch on the control thread, plus real
-  // datapath traffic, then fold it into a published snapshot the way a
-  // health tick would.
-  const ilp::connection_id conn = 1;
-  for (int i = 0; i < 4; ++i) {
-    alice->mgr->send(sn->node_id(), delivery_header(bob->node, conn), to_bytes("prof"));
-  }
+  const std::uint64_t stalls = sn->watchdog_stalls();
+  sn->start_health_plane(hc, /*max_ticks=*/1);
   net.run();
-  slo_health_profile_spin(150);
-  sn->profile_refresh();
-
-  // Freeze by hand (same path a watchdog or burn-rate page takes): the
-  // postmortem must carry a NON-empty hot-stack table.
-  ASSERT_NE(sn->blackbox(), nullptr);
-  sn->blackbox()->trigger(kTrigManual, 1);
-  const std::string dump = sn->dump_blackbox_json();
-  EXPECT_TRUE(sn->blackbox()->frozen());
-  ASSERT_NE(dump.find("\"hot_stacks\":["), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"hot_stacks\":[{"), std::string::npos) << dump.substr(0, 400);
-  EXPECT_NE(dump.find("\"count\":"), std::string::npos);
-  EXPECT_EQ(bob->received, 4);
-
-  // Profiler metrics landed in the registry via the same refresh.
-  EXPECT_GT(sn->metrics().get_gauge("sn.profile.samples").value(), 0);
-}
-
-TEST(SloHealth, PostmortemHotStacksEmptyWhenProfilerOff) {
-  simulation net;
-  core::testing::identity_router route;
-  auto sn = make_sn(net, &route, 0);
-  ASSERT_EQ(sn->profiler(), nullptr);
-  ASSERT_NE(sn->blackbox(), nullptr);
-  sn->blackbox()->trigger(kTrigManual, 1);
-  const std::string dump = sn->dump_blackbox_json();
-  // The key is always present so postmortem consumers need no probing —
-  // an empty table when the profiling plane is off.
-  EXPECT_NE(dump.find("\"hot_stacks\":[]"), std::string::npos) << dump.substr(0, 400);
+  EXPECT_EQ(sn->metrics().get_gauge("sn.shard.stalled", {{"shard", "0"}}).value(), 0);
+  EXPECT_EQ(sn->watchdog_stalls(), stalls);
+  EXPECT_EQ(bob->received, 8);
 }
 
 // ---- churn: restarts and duplicate pushes must not double-count -------

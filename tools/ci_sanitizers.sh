@@ -52,14 +52,6 @@ run_preset() {
   # against real stalled worker threads and the burn-rate page path.
   echo "== $preset: health plane + flight recorder (focused) =="
   ctest --preset "$preset" -R 'health_test|slo_health_test' --output-on-failure
-  # Profiling plane (ISSUE 10): an async-signal handler writing per-thread
-  # SPSC rings while the control thread drains and tears threads down.
-  # ConcurrentSamplingDrainAndTeardown fires live SIGPROF at 1993Hz into
-  # spinning workers under concurrent drain — tsan proves the handler
-  # touches nothing but the ring's atomics and its slot memory, asan that
-  # teardown never races a late signal into freed memory.
-  echo "== $preset: sampling profiler (focused) =="
-  ctest --preset "$preset" -R prof_test --output-on-failure
   # Scenario engine (ISSUE 9): the adversarial + churn suites drive every
   # concurrent subsystem at once — sharded datapaths under flood-driven
   # shed, the invalidation bus purging verdicts on protect/allow and
@@ -103,32 +95,41 @@ run_preset() {
     "$net_test" --gtest_brief=1
     taskset -c 0 "$net_test" --gtest_brief=1
   done
-  # The differential ingress test and the allocation budget move slab
-  # references between the control thread and worker shards (the byte
-  # entry's own pool included): 20 free, 20 on one CPU.
-  echo "== $preset: differential ingress + alloc_test x20 alone, x20 on one CPU =="
+  # SPSC rings carry every cross-thread hand-off: shard ingress and
+  # egress, the slow-path hub, the invalidation lanes and the path
+  # recorders. Their free-running indices, the slab references that ride
+  # them (the differential ingress test and the allocation budget among
+  # parallel_test and alloc_test) and the watchdog that reads their
+  # occupancy: 20 free, 20 on one CPU.
+  echo "== $preset: rings, slab hand-off, allocation budget, watchdog x20 alone, x20 on one CPU =="
+  common_test="build-$preset/tests/common_test"
+  core_test="build-$preset/tests/core_test"
+  buf_pool_test="build-$preset/tests/buf_pool_test"
   parallel_test="build-$preset/tests/parallel_test"
   alloc_test="build-$preset/tests/alloc_test"
+  slo_health_test="build-$preset/tests/slo_health_test"
   for i in $(seq 20); do
-    "$parallel_test" --gtest_filter='ShardedDatapath.ViewsIngressMatchesBytesIngress' \
-      --gtest_brief=1
-    taskset -c 0 "$parallel_test" --gtest_filter='ShardedDatapath.ViewsIngressMatchesBytesIngress' \
-      --gtest_brief=1
-    "$alloc_test" --gtest_brief=1
-    taskset -c 0 "$alloc_test" --gtest_brief=1
+    for pin in "" "taskset -c 0"; do
+      $pin "$common_test" --gtest_filter='SpscRing*' --gtest_brief=1
+      $pin "$core_test" --gtest_filter='RingChannel*:SlowpathHub*' --gtest_brief=1
+      $pin "$buf_pool_test" --gtest_brief=1
+      $pin "$parallel_test" --gtest_brief=1
+      $pin "$alloc_test" --gtest_brief=1
+      $pin "$slo_health_test" --gtest_filter='SloHealth.WatchdogFlagsInjectedShardStallAndRecovers' \
+        --gtest_brief=1
+    done
   done
   if [ "$preset" = tsan ]; then
     # A slow-path request points into the issuing terminus's pending slot
     # while a service thread (ring, ipc) or the control thread (hub) reads
     # it; the slot is handed over and back only by the rings'
-    # release/acquire. These drive that hand-off across threads.
+    # release/acquire. These drive that hand-off across threads
+    # (parallel_test runs in the ring loop above).
     echo "== tsan: slow-path slot hand-off x20 =="
-    core_test="build-$preset/tests/core_test"
     failover_test="build-$preset/tests/failover_test"
     for i in $(seq 20); do
       "$core_test" --gtest_filter='AllTransports/ChannelSuite.*:SlowpathHub.*:RingChannel.*' \
         --gtest_brief=1
-      "$parallel_test" --gtest_brief=1
       "$services_test" --gtest_filter='DdosShed.*' --gtest_brief=1
       "$failover_test" --gtest_filter='Failover.SaturatedSlowPathShedsInsteadOfBlocking' \
         --gtest_brief=1
