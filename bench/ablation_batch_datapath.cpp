@@ -228,7 +228,7 @@ void BM_IngressDatapath_Telemetry(benchmark::State& state) {
 void BM_IngressDatapath_Robustness(benchmark::State& state) {
   datapath dp;
   manual_clock clk;
-  dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
+  dp.receiver->enable_liveness(clk);
   dp.terminus->set_slowpath_policy({.clk = &clk,
                                     .deadline = std::chrono::milliseconds(5),
                                     .high_water = 1024});
@@ -270,7 +270,7 @@ void BM_IngressDatapath_Robustness(benchmark::State& state) {
 void ingress_path_tracing(benchmark::State& state, bool sampled) {
   datapath dp;
   manual_clock clk;
-  dp.receiver->enable_liveness(clk, {.keepalive_interval = std::chrono::milliseconds(10)});
+  dp.receiver->enable_liveness(clk);
   dp.terminus->set_slowpath_policy({.clk = &clk,
                                     .deadline = std::chrono::milliseconds(5),
                                     .high_water = 1024});

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/aead.h"
 #include "crypto/kdf.h"
 #include "crypto/psp.h"
 #include "crypto/x25519.h"
@@ -31,8 +32,8 @@ ilp::ilp_header sample_header() {
   return h;
 }
 
-// Single-packet PSP seal/open in the datapath's scratch-buffer form
-// (pipe::seal_head_into, pipe::open), one item per packet.
+// Single-packet PSP seal/open in the scratch-buffer form (pipe::seal_into
+// for send() and keepalives, pipe::open), one item per packet.
 void BM_PspSeal(benchmark::State& state) {
   crypto::psp_context tx(master(), 7);
   const bytes plaintext(static_cast<std::size_t>(state.range(0)), 0x5a);
@@ -66,14 +67,56 @@ void BM_PspSealBatch(benchmark::State& state) {
   const auto burst = static_cast<std::size_t>(state.range(0));
   const bytes plaintext(static_cast<std::size_t>(state.range(1)), 0x5a);
   std::vector<bytes> wires(burst, bytes(plaintext.size() + crypto::kPspOverhead));
-  const std::vector<const_byte_span> plaintexts(burst, plaintext);
-  const std::vector<byte_span> outs(wires.begin(), wires.end());
+  std::vector<crypto::psp_seal_job> jobs;
+  for (bytes& w : wires) jobs.push_back({tx, plaintext, {}, w});
+  crypto::psp_batch_scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tx.seal_batch(plaintexts, const_byte_span{}, outs));
+    benchmark::DoNotOptimize(crypto::seal_batch(jobs, scratch));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.SetBytesProcessed(state.iterations() * state.range(0) * state.range(1));
+}
+
+// One pub/sub publish's egress: range(0) copies of a range(1)-byte header,
+// each sealed under its own pipe's context, in one multi-key seal_batch.
+// items/s is per copy, next to BM_PspSeal's one-context-per-call figure.
+void BM_PspSealMultiKey(benchmark::State& state) {
+  const auto copies = static_cast<std::size_t>(state.range(0));
+  std::vector<crypto::psp_context> contexts;
+  for (std::size_t i = 0; i < copies; ++i) {
+    crypto::psp_master_key k;
+    k.fill(static_cast<std::uint8_t>(0x40 + i));
+    contexts.emplace_back(k, static_cast<std::uint32_t>(7 + i));
+  }
+  const bytes plaintext(static_cast<std::size_t>(state.range(1)), 0x5a);
+  const bytes aad(8, 0x25);  // the pipe's payload-length AAD
+  std::vector<bytes> wires(copies, bytes(plaintext.size() + crypto::kPspOverhead));
+  std::vector<crypto::psp_seal_job> jobs;
+  for (std::size_t i = 0; i < copies; ++i) jobs.push_back({contexts[i], plaintext, aad, wires[i]});
+  crypto::psp_batch_scratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::seal_batch(jobs, scratch));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+// The AEAD's non-ChaCha part for one ILP header seal: the Poly1305 tag
+// over a 20-byte AAD (spi || iv || payload length) and range(0) bytes of
+// ciphertext, plus the range(0)-byte keystream XOR, given the keystream.
+void BM_AeadTag(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const bytes keystream(crypto::aead_keystream_blocks(len) * crypto::kChaChaBlockSize, 0x3c);
+  const bytes aad_a(12, 0x11), aad_b(8, 0x22);
+  const bytes plaintext(len, 0x5a);
+  bytes out(len + crypto::kAeadTagSize);
+  for (auto _ : state) {
+    crypto::aead_seal_with_keystream(keystream, aad_a, aad_b, plaintext, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 // Full pipe data path: header sealed, payload carried in clear alongside.
@@ -136,6 +179,8 @@ void BM_KeyRotation(benchmark::State& state) {
 BENCHMARK(BM_PspSeal)->Arg(37)->Arg(64)->Arg(100)->Arg(256)->Arg(1400);
 BENCHMARK(BM_PspOpen)->Arg(37)->Arg(64)->Arg(100)->Arg(256)->Arg(1400);
 BENCHMARK(BM_PspSealBatch)->Args({32, 37})->Args({32, 64})->Args({32, 100});
+BENCHMARK(BM_PspSealMultiKey)->Args({16, 37});
+BENCHMARK(BM_AeadTag)->Arg(37);
 BENCHMARK(BM_PipeSealOpen)->Arg(64)->Arg(512)->Arg(1400);
 BENCHMARK(BM_PlaintextCopyBaseline)->Arg(64)->Arg(512)->Arg(1400);
 BENCHMARK(BM_HandshakeX25519);

@@ -186,7 +186,7 @@ void metric_path_comparison() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"max_subscribers"});
   const int max_subscribers = static_cast<int>(flags.get_int("max_subscribers", 256));
 
   std::printf("== Ablation A4: service-layer behaviour ==\n\n");

@@ -25,7 +25,7 @@ using namespace interedge;
 using steady = std::chrono::steady_clock;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"scale", "tunnels", "interval_s"});
   const double scale = flags.get_double("scale", 0.1);
   const std::size_t full_tunnels = static_cast<std::size_t>(flags.get_int("tunnels", 98000));
   const auto full_interval = std::chrono::seconds(flags.get_int("interval_s", 180));

@@ -239,7 +239,8 @@ bench_result run_null_service(bool enclave, std::chrono::milliseconds duration,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags =
+      flag_set::parse_or_exit(argc, argv, {"duration_ms", "payload", "outstanding"});
   const auto duration = std::chrono::milliseconds(flags.get_int("duration_ms", 400));
   const std::size_t payload = static_cast<std::size_t>(flags.get_int("payload", 1000));
   const std::size_t outstanding = static_cast<std::size_t>(flags.get_int("outstanding", 64));

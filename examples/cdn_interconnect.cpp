@@ -17,7 +17,7 @@
 using namespace interedge;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"edomains", "clients", "fetches"});
   const int n_domains = static_cast<int>(flags.get_int("edomains", 3));
   const int n_clients = static_cast<int>(flags.get_int("clients", 6));
   const int n_fetches = static_cast<int>(flags.get_int("fetches", 3));

@@ -14,7 +14,7 @@
 using namespace interedge;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"hops"});
   const int hops = static_cast<int>(flags.get_int("hops", 3));
 
   std::printf("== private relay: oDNS + mixnet ==\n\n");

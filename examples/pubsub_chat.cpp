@@ -12,7 +12,7 @@
 using namespace interedge;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"rooms", "users"});
   const int n_rooms = static_cast<int>(flags.get_int("rooms", 2));
   const int n_users = static_cast<int>(flags.get_int("users", 6));
 

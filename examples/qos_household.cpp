@@ -14,7 +14,7 @@ using namespace interedge;
 using namespace std::chrono_literals;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"access_mbps", "bulk_packets"});
   const std::uint64_t access_mbps = static_cast<std::uint64_t>(flags.get_int("access_mbps", 8));
   const int bulk_packets = static_cast<int>(flags.get_int("bulk_packets", 30));
 

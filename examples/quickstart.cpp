@@ -11,7 +11,7 @@
 using namespace interedge;
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"hosts", "messages"});
   const int n_hosts = static_cast<int>(flags.get_int("hosts", 4));
   const int n_messages = static_cast<int>(flags.get_int("messages", 8));
 

@@ -43,7 +43,7 @@ class port_router final : public core::router {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
+  const flag_set flags = flag_set::parse_or_exit(argc, argv, {"messages", "pin", "dump-blackbox"});
   const int n_messages = static_cast<int>(flags.get_int("messages", 5));
 
   std::printf("== InterEdge over real UDP sockets ==\n\n");

@@ -1,10 +1,13 @@
 #include "common/flags.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace interedge {
 
-flag_set::flag_set(int argc, char** argv) {
+flag_set::flag_set(int argc, char** argv, std::vector<std::string> known) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -12,14 +15,33 @@ flag_set::flag_set(int argc, char** argv) {
       continue;
     }
     arg = arg.substr(2);
-    auto eq = arg.find('=');
+    std::string name, value;
+    const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      name = arg.substr(0, eq);
+      value = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      name = arg;
+      value = argv[++i];
     } else {
-      values_[arg] = "true";  // bare flag
+      name = arg;
+      value = "true";  // bare flag
     }
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
+    values_[name] = value;
+  }
+}
+
+flag_set flag_set::parse_or_exit(int argc, char** argv, std::vector<std::string> known) {
+  try {
+    return flag_set(argc, argv, known);
+  } catch (const std::runtime_error& e) {
+    std::string usage = std::string("usage: ") + (argc > 0 ? argv[0] : "program");
+    for (const std::string& name : known) usage += " [--" + name + "=...]";
+    std::fprintf(stderr, "%s\n%s\n", e.what(), usage.c_str());
+    std::exit(2);
   }
 }
 

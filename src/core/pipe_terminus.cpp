@@ -19,8 +19,12 @@ char verdict_char(decision::verdict v) {
 
 }  // namespace
 
-pipe_terminus::pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward)
-    : cache_(cache), channel_(channel), forward_(std::move(forward)) {}
+pipe_terminus::pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward,
+                             burst_end_fn burst_end)
+    : cache_(cache),
+      channel_(channel),
+      forward_(std::move(forward)),
+      burst_end_(std::move(burst_end)) {}
 
 void pipe_terminus::enable_telemetry(metrics_registry& reg, trace::tracer* tracer) {
   reg_ = &reg;
@@ -237,14 +241,17 @@ void pipe_terminus::handle_batch(std::span<packet_view> pkts) {
     p.trace_start_ns = ptc ? path_rec_->now() : 0;
     if (!submit_bounded(slowpath_request{p.token, deadline_for_now(), &p.pkt}, is_control)) {
       // Channel stayed full through the retry budget: shed instead of
-      // blocking the fast path behind a wedged slow path.
+      // blocking the fast path behind a wedged slow path. The slot's
+      // payload must leave before the slot can be re-claimed.
       shed_packet(p.pkt.l3_src, p.pkt.header, p.pkt.payload, sampled);
+      end_burst();
       release_slot(p);
       continue;
     }
     submitted = true;
   }
 
+  end_burst();
   // Drain the slow-path channel once per batch, not once per packet.
   if (submitted) {
     trace::span drain_span(trace::stage::slowpath);
@@ -336,6 +343,7 @@ void pipe_terminus::complete(slowpath_response& resp) {
     }
     apply(resp.verdict, p.pkt.header, p.pkt.payload);
   }
+  end_burst();
   // Claimable again only now: its packet was in use until here.
   free_slots_.push_back(static_cast<std::uint32_t>(index));
 }

@@ -66,13 +66,22 @@ struct slowpath_policy {
 class pipe_terminus {
  public:
   // `forward` sends a packet to an adjacent element over the node's pipes.
-  // The payload span is readable only for the duration of the call — on the
-  // zero-copy path it aliases an ingress slab; implementations that defer
-  // the send (the shard egress rings) must copy before returning.
+  // The payload span is readable until the next burst end (below) — on
+  // the zero-copy path it aliases an ingress slab; implementations that
+  // defer the send past it (the shard egress rings) must copy.
   using forward_fn =
       std::function<void(peer_id to, const ilp::ilp_header&, const_byte_span payload)>;
+  // Called at every burst end, where the payloads forwarded since the
+  // last one are still alive: after the fast-path loop of handle_batch
+  // (before its pump), at the end of every slow-path completion (whose
+  // sends and parked payload die with it), and before a pending slot is
+  // released on the shed-after-failed-submit path (the next miss of the
+  // batch may re-claim it). An owner whose forward queues views (the SN's
+  // egress queue) flushes here. Optional.
+  using burst_end_fn = std::function<void()>;
 
-  pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward);
+  pipe_terminus(decision_cache& cache, slowpath_channel& channel, forward_fn forward,
+                burst_end_fn burst_end = {});
 
   // Processes a batch of decrypted ingress packets — the terminus' one
   // packet entry; one packet is a batch of one. Payload spans alias
@@ -187,6 +196,9 @@ class pipe_terminus {
                        const trace::trace_context& tc, std::uint16_t anno,
                        trace::span_kind kind, std::uint64_t start_ns, std::uint64_t span_id);
   void complete(slowpath_response& resp);
+  void end_burst() {
+    if (burst_end_) burst_end_();
+  }
   // A free slot with a fresh token; adds a slot when none is free.
   pending& claim_slot();
   // Frees the slot of a packet that shed instead of being submitted.
@@ -211,6 +223,7 @@ class pipe_terminus {
   decision_cache& cache_;
   slowpath_channel& channel_;
   forward_fn forward_;
+  burst_end_fn burst_end_;
   std::function<void()> backpressure_hook_;
   // Pending slots, found from a response's token by index. A deque never
   // moves its elements as it grows, so a request's packet pointer stays

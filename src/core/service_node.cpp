@@ -93,10 +93,12 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
   terminus_ = std::make_unique<pipe_terminus>(
       cache_, *channel_,
       [this](peer_id to, const ilp::ilp_header& header, const_byte_span payload) {
-        // send_span seals straight out of the terminus' payload view (which
-        // may alias an ingress slab) — no owned copy on the forward path.
-        pipes_.send_span(to, header, payload);
-      });
+        // The egress queue keeps the terminus' payload view (which may
+        // alias an ingress slab) — no owned copy on the forward path — and
+        // seals the whole burst in one multi-key pass at its end.
+        pipes_.queue_span(to, header, payload);
+      },
+      [this] { pipes_.flush(); });
   terminus_->enable_telemetry(metrics_, &tracer_);
   if (config_.path_span_capacity > 0) terminus_->enable_path_tracing(&path_rec_);
   pipes_.set_metrics(metrics_);
@@ -129,14 +131,11 @@ service_node::service_node(sn_config config, const clock& clk, send_datagram_fn 
     terminus_->set_slowpath_policy(pol);
   }
   if (config_.keepalive_interval.count() > 0) {
-    ilp::liveness_config lcfg;
-    lcfg.keepalive_interval = config_.keepalive_interval;
     // Node-unique jitter seed: peers of one recovered SN desynchronize.
     // An explicitly configured seed wins (root-seed plumbing).
-    lcfg.jitter_seed = config_.liveness_jitter_seed != 0
-                           ? config_.liveness_jitter_seed
-                           : config_.id * 0x9e3779b97f4a7c15ull + 1;
-    pipes_.enable_liveness(clock_, lcfg);
+    pipes_.enable_liveness(clock_, config_.liveness_jitter_seed != 0
+                                       ? config_.liveness_jitter_seed
+                                       : config_.id * 0x9e3779b97f4a7c15ull + 1);
     liveness_running_ = true;
     schedule_liveness_tick();
   }
@@ -345,12 +344,21 @@ std::size_t service_node::drain_egress() {
   std::size_t n = 0;
   for (auto& shp : shards_) {
     worker_shard& sh = *shp;
-    while (auto o = sh.egress.try_pop()) {
-      // send_span seals into the manager's reused scratch and, when the
-      // owner installed a raw/gather hook, goes out without building an
-      // owned datagram at all.
-      pipes_.send_span(o->to, o->header, o->payload);
-      ++n;
+    // Up to kWorkerBatch outbounds at a time: they stay alive in the
+    // reused vector while the egress queue holds views of their payloads,
+    // and the flush seals them in one multi-key pass.
+    egress_scratch_.reserve(kWorkerBatch);
+    for (;;) {
+      egress_scratch_.clear();
+      while (egress_scratch_.size() < kWorkerBatch) {
+        auto o = sh.egress.try_pop();
+        if (!o) break;
+        egress_scratch_.push_back(std::move(*o));
+      }
+      if (egress_scratch_.empty()) break;
+      for (const outbound& o : egress_scratch_) pipes_.queue_span(o.to, o.header, o.payload);
+      pipes_.flush();
+      n += egress_scratch_.size();
     }
     if (sh.spill.load(std::memory_order_acquire) > 0) wake_shard(sh.index);
   }

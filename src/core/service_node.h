@@ -490,6 +490,7 @@ class service_node final : public node_services {
   std::vector<const_byte_span> span_scratch_;
   std::vector<byte_span> mut_span_scratch_;
   std::vector<ilp::flow_peek> peek_scratch_;
+  std::vector<outbound> egress_scratch_;  // drain_egress's popped outbounds
 };
 
 // Bridges a module_result into the channel response format. Shared with the

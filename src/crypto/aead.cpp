@@ -6,22 +6,54 @@
 namespace interedge::crypto {
 namespace {
 
+// AAD || pad || ciphertext || pad || lengths, the MAC input of RFC 8439
+// §2.8, fits this stack image for every ILP header seal (a 20-byte AAD
+// with up to 208 bytes of ciphertext): then the tag is one blocks() pass.
+constexpr std::size_t kTagImageSize = 256;
+
+constexpr std::size_t pad16(std::size_t n) { return (n + 15) & ~std::size_t{15}; }
+
+void store_lengths(std::uint8_t out[16], std::uint64_t aad_len, std::uint64_t ct_len) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(aad_len >> (8 * i));
+    out[8 + i] = static_cast<std::uint8_t>(ct_len >> (8 * i));
+  }
+}
+
+// Writes the MAC input into `image`; returns its length, or 0 when it
+// does not fit.
+std::size_t build_tag_image(const_byte_span aad_a, const_byte_span aad_b,
+                            const_byte_span ciphertext, std::uint8_t image[kTagImageSize]) {
+  const std::size_t aad_len = aad_a.size() + aad_b.size();
+  const std::size_t ct_at = pad16(aad_len);
+  const std::size_t lengths_at = ct_at + pad16(ciphertext.size());
+  if (lengths_at + 16 > kTagImageSize) return 0;
+  // Zero the padded regions a whole block at a time (fixed-size stores),
+  // then lay the bytes over them.
+  for (std::size_t at = 0; at < lengths_at; at += 16) std::memset(image + at, 0, 16);
+  if (!aad_a.empty()) std::memcpy(image, aad_a.data(), aad_a.size());
+  if (!aad_b.empty()) std::memcpy(image + aad_a.size(), aad_b.data(), aad_b.size());
+  if (!ciphertext.empty()) std::memcpy(image + ct_at, ciphertext.data(), ciphertext.size());
+  store_lengths(image + lengths_at, aad_len, ciphertext.size());
+  return lengths_at + 16;
+}
+
 poly_tag tag_with_poly_key(const std::uint8_t poly_key[kPolyKeySize], const_byte_span aad_a,
                            const_byte_span aad_b, const_byte_span ciphertext) {
+  std::uint8_t image[kTagImageSize];
+  if (const std::size_t len = build_tag_image(aad_a, aad_b, ciphertext, image); len > 0) {
+    return poly1305::mac(poly_key, const_byte_span(image, len));
+  }
   poly1305 mac(poly_key);
   static constexpr std::uint8_t zeros[15] = {};
+  const std::size_t aad_len = aad_a.size() + aad_b.size();
   mac.update(aad_a);
   mac.update(aad_b);
-  const std::size_t aad_len = aad_a.size() + aad_b.size();
-  if (aad_len % 16 != 0) mac.update(const_byte_span(zeros, 16 - aad_len % 16));
+  mac.update(const_byte_span(zeros, pad16(aad_len) - aad_len));
   mac.update(ciphertext);
-  if (ciphertext.size() % 16 != 0) mac.update(const_byte_span(zeros, 16 - ciphertext.size() % 16));
+  mac.update(const_byte_span(zeros, pad16(ciphertext.size()) - ciphertext.size()));
   std::uint8_t lengths[16];
-  const std::uint64_t ct_len = ciphertext.size();
-  for (int i = 0; i < 8; ++i) {
-    lengths[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(aad_len) >> (8 * i));
-    lengths[8 + i] = static_cast<std::uint8_t>(ct_len >> (8 * i));
-  }
+  store_lengths(lengths, aad_len, ciphertext.size());
   mac.update(lengths);
   return mac.finish();
 }
@@ -53,11 +85,13 @@ struct head_keystream {
   head_keystream(const std::uint8_t key[kAeadKeySize], const std::uint8_t nonce[kAeadNonceSize],
                  std::size_t text_len) {
     static constexpr std::uint32_t kCounters[kHeadBlocks] = {0, 1, 2, 3};
+    const std::uint8_t* keys[kHeadBlocks];
     std::uint8_t nonces[kHeadBlocks * kAeadNonceSize];
     for (std::size_t b = 0; b < kHeadBlocks; ++b) {
+      keys[b] = key;
       std::memcpy(nonces + b * kAeadNonceSize, nonce, kAeadNonceSize);
     }
-    chacha20_keystream_blocks(key, kCounters, nonces,
+    chacha20_keystream_blocks(keys, kCounters, nonces,
                               aead_keystream_blocks(std::min(text_len, kHeadCipherBytes)), blocks);
   }
 

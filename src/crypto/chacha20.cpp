@@ -53,12 +53,12 @@ void block_core(const std::uint32_t s[16], std::uint32_t w[16]) {
   for (int i = 0; i < 16; ++i) w[i] += s[i];
 }
 
+// "expand 32-byte k": state words 0..3.
+constexpr std::uint32_t kSigma[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+
 void init_state(std::uint32_t s[16], const std::uint8_t key[kChaChaKeySize],
                 std::uint32_t counter, const std::uint8_t nonce[kChaChaNonceSize]) {
-  s[0] = 0x61707865;
-  s[1] = 0x3320646e;
-  s[2] = 0x79622d32;
-  s[3] = 0x6b206574;
+  for (int i = 0; i < 4; ++i) s[i] = kSigma[i];
   for (int i = 0; i < 8; ++i) s[4 + i] = load32(key + 4 * i);
   s[12] = counter;
   for (int i = 0; i < 3; ++i) s[13 + i] = load32(nonce + 4 * i);
@@ -186,24 +186,25 @@ __attribute__((target("sse2"))) inline void store_keystream_sse2(std::uint8_t* o
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 48), _mm_add_epi32(w.d, init.d));
 }
 
-// Four independent-stream blocks per call: same key rows, each block's
-// counter/nonce row supplied by the caller. Returns blocks consumed (a
-// multiple of 4); chacha20_keystream_blocks pads the remainder to a quad.
-__attribute__((target("sse2"))) std::size_t keystream_sse2(const std::uint32_t key_rows[12],
+// Four independent-stream blocks per call: block i takes its key rows from
+// keys[i] (rows b and c are the key's 32 bytes, which on this little-endian
+// target load straight into the state words) and its counter/nonce row
+// from the caller. Returns blocks consumed (a multiple of 4);
+// chacha20_keystream_blocks pads the remainder to a quad.
+__attribute__((target("sse2"))) std::size_t keystream_sse2(const std::uint8_t* const* keys,
                                                            const std::uint32_t* counters,
                                                            const std::uint8_t* nonces,
                                                            std::size_t n, std::uint8_t* out) {
-  const __m128i row_a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows));
-  const __m128i row_b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 4));
-  const __m128i row_c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 8));
+  const __m128i row_a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSigma));
   std::size_t done = 0;
   while (n - done >= 4) {
     qstate init[4], w[4];
     for (int b = 0; b < 4; ++b) {
+      const std::uint8_t* key = keys[done + b];
       const std::uint8_t* nonce = nonces + 12 * (done + b);
       init[b].a = row_a;
-      init[b].b = row_b;
-      init[b].c = row_c;
+      init[b].b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+      init[b].c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key + 16));
       init[b].d = _mm_set_epi32(static_cast<int>(load32(nonce + 8)),
                                 static_cast<int>(load32(nonce + 4)),
                                 static_cast<int>(load32(nonce)),
@@ -343,17 +344,23 @@ __attribute__((target("avx2"))) inline void store_keystream_pair_avx2(std::uint8
                       _mm256_permute2x128_si256(rows[2], rows[3], 0x31));
 }
 
-// Four independent-stream blocks per iteration, two per 256-bit vector.
-__attribute__((target("avx2"))) std::size_t keystream_avx2(const std::uint32_t key_rows[12],
+// One key row for a block pair: `lo`'s 16 bytes in the low lanes, `hi`'s
+// in the high lanes.
+__attribute__((target("avx2"))) inline __m256i load_key_pair(const std::uint8_t* lo,
+                                                            const std::uint8_t* hi) {
+  return _mm256_inserti128_si256(
+      _mm256_castsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(lo))),
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi)), 1);
+}
+
+// Four independent-stream blocks per iteration, two per 256-bit vector,
+// each with its own key rows.
+__attribute__((target("avx2"))) std::size_t keystream_avx2(const std::uint8_t* const* keys,
                                                            const std::uint32_t* counters,
                                                            const std::uint8_t* nonces,
                                                            std::size_t n, std::uint8_t* out) {
   const __m256i wa =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows)));
-  const __m256i wb =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 4)));
-  const __m256i wc =
-      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(key_rows + 8)));
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(kSigma)));
   std::size_t done = 0;
   while (n - done >= 4) {
     wstate init[2], w[2];
@@ -362,8 +369,8 @@ __attribute__((target("avx2"))) std::size_t keystream_avx2(const std::uint32_t k
       const std::uint8_t* n0 = nonces + 12 * lo;
       const std::uint8_t* n1 = n0 + 12;
       init[p].a = wa;
-      init[p].b = wb;
-      init[p].c = wc;
+      init[p].b = load_key_pair(keys[lo], keys[lo + 1]);
+      init[p].c = load_key_pair(keys[lo] + 16, keys[lo + 1] + 16);
       init[p].d = _mm256_set_epi32(
           static_cast<int>(load32(n1 + 8)), static_cast<int>(load32(n1 + 4)),
           static_cast<int>(load32(n1)), static_cast<int>(counters[lo + 1]),
@@ -461,38 +468,36 @@ void chacha20_xor(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
   xor_scalar_from_state(s, data.data(), data.size());
 }
 
-void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
-                               const std::uint32_t* counters, const std::uint8_t* nonces,
-                               std::size_t n, std::uint8_t* out) {
+void chacha20_keystream_blocks(const std::uint8_t* const* keys, const std::uint32_t* counters,
+                               const std::uint8_t* nonces, std::size_t n, std::uint8_t* out) {
 #ifdef INTEREDGE_CHACHA_SIMD
   const simd_level level = active_simd_level();
   if (level != simd_level::scalar && n > 0) {
-    // Words 0..11 (constants + key) are shared by every stream.
-    std::uint32_t key_rows[16];
-    std::uint8_t zero_nonce[kChaChaNonceSize] = {};
-    init_state(key_rows, key, 0, zero_nonce);  // only words 0..11 are used
     auto* const kernel = level == simd_level::avx2 ? keystream_avx2 : keystream_sse2;
-    const std::size_t done = kernel(key_rows, counters, nonces, n, out);
+    const std::size_t done = kernel(keys, counters, nonces, n, out);
     const std::size_t rest = n - done;
     if (rest > 0) {
       // Pad the remainder to a quad by repeating its last stream.
+      const std::uint8_t* quad_keys[4];
       std::uint32_t quad_counters[4];
       std::uint8_t quad_nonces[4 * kChaChaNonceSize];
       std::uint8_t quad[4 * kChaChaBlockSize];
       for (std::size_t b = 0; b < 4; ++b) {
         const std::size_t from = done + std::min(b, rest - 1);
+        quad_keys[b] = keys[from];
         quad_counters[b] = counters[from];
         std::memcpy(quad_nonces + kChaChaNonceSize * b, nonces + kChaChaNonceSize * from,
                     kChaChaNonceSize);
       }
-      kernel(key_rows, quad_counters, quad_nonces, 4, quad);
+      kernel(quad_keys, quad_counters, quad_nonces, 4, quad);
       std::memcpy(out + kChaChaBlockSize * done, quad, kChaChaBlockSize * rest);
     }
     return;
   }
 #endif
   for (std::size_t b = 0; b < n; ++b) {
-    chacha20_block(key, counters[b], nonces + kChaChaNonceSize * b, out + kChaChaBlockSize * b);
+    chacha20_block(keys[b], counters[b], nonces + kChaChaNonceSize * b,
+                   out + kChaChaBlockSize * b);
   }
 }
 

@@ -33,14 +33,15 @@ void chacha20_xor(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
 void chacha20_xor_scalar(const std::uint8_t key[kChaChaKeySize], std::uint32_t counter,
                          const std::uint8_t nonce[kChaChaNonceSize], byte_span data);
 
-// Generates `n` independent 64-byte keystream blocks sharing one key:
-// block i uses counters[i] and the 12-byte nonce at nonces + 12*i. Any n
-// is fine. This is the AEAD's keystream source: a batch feeds the 4-block
-// SIMD kernels with blocks from *different packets* of one pipe, and a
-// single packet's one to four head blocks make one padded pass.
-void chacha20_keystream_blocks(const std::uint8_t key[kChaChaKeySize],
-                               const std::uint32_t* counters, const std::uint8_t* nonces,
-                               std::size_t n, std::uint8_t* out);
+// Generates `n` independent 64-byte keystream blocks: block i uses the
+// 32-byte key at keys[i], counters[i] and the 12-byte nonce at
+// nonces + 12*i. Any n is fine. This is the AEAD's keystream source: the
+// 4-block SIMD kernels load each block's own key, so one call covers the
+// blocks of many packets, whether of one pipe (a batch open) or of many
+// (a fan-out's copies, each sealed under its own pipe's key). A single
+// packet's one to four head blocks make one padded pass.
+void chacha20_keystream_blocks(const std::uint8_t* const* keys, const std::uint32_t* counters,
+                               const std::uint8_t* nonces, std::size_t n, std::uint8_t* out);
 
 // Backend chacha20_xor will use for the current active_simd_level().
 const char* chacha20_backend();

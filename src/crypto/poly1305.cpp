@@ -1,87 +1,87 @@
-// Poly1305 with 26-bit limbs (donna-32 layout): products fit in 64 bits.
+// Poly1305 with 44/44/42-bit limbs (donna-64 layout): the accumulator and
+// r are three 64-bit limbs, so a block costs nine 64x64->128 multiplies
+// where 26-bit limbs cost twenty-five 32x32->64 ones.
 #include "crypto/poly1305.h"
 
 #include <cstring>
 
 namespace interedge::crypto {
 namespace {
-std::uint32_t load32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+
+using u128 = unsigned __int128;
+
+constexpr std::uint64_t kMask44 = 0xfffffffffff;
+constexpr std::uint64_t kMask42 = 0x3ffffffffff;
+constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;  // 2^128 in the top limb
+
+std::uint64_t load64(const std::uint8_t* p) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+#else
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+#endif
 }
+
+void store64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 }  // namespace
 
 poly1305::poly1305(const std::uint8_t key[kPolyKeySize]) {
   // r is clamped per the RFC.
-  r_[0] = load32(key + 0) & 0x3ffffff;
-  r_[1] = (load32(key + 3) >> 2) & 0x3ffff03;
-  r_[2] = (load32(key + 6) >> 4) & 0x3ffc0ff;
-  r_[3] = (load32(key + 9) >> 6) & 0x3f03fff;
-  r_[4] = (load32(key + 12) >> 8) & 0x00fffff;
-  for (auto& h : h_) h = 0;
-  for (int i = 0; i < 4; ++i) pad_[i] = load32(key + 16 + 4 * i);
+  const std::uint64_t t0 = load64(key);
+  const std::uint64_t t1 = load64(key + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  h_[0] = h_[1] = h_[2] = 0;
+  pad_[0] = load64(key + 16);
+  pad_[1] = load64(key + 24);
 }
 
-void poly1305::blocks(const std::uint8_t* m, std::size_t count, std::uint32_t hibit) {
-  const std::uint32_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+void poly1305::blocks(const std::uint8_t* m, std::size_t count, std::uint64_t hibit) {
+  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // Limb products that wrap past 2^130 fold back times 5 (2^130 = 5 mod
+  // p); the extra 4 aligns the 44-bit limb boundary with bit 130.
+  const std::uint64_t s1 = r1 * (5 << 2), s2 = r2 * (5 << 2);
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-
-  while (count-- > 0) {
+  for (; count > 0; --count, m += 16) {
     // h += m
-    h0 += load32(m + 0) & 0x3ffffff;
-    h1 += (load32(m + 3) >> 2) & 0x3ffffff;
-    h2 += (load32(m + 6) >> 4) & 0x3ffffff;
-    h3 += (load32(m + 9) >> 6) & 0x3ffffff;
-    h4 += (load32(m + 12) >> 8) | hibit;
-    m += 16;
+    const std::uint64_t t0 = load64(m);
+    const std::uint64_t t1 = load64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
     // h *= r mod 2^130 - 5
-    const std::uint64_t d0 = static_cast<std::uint64_t>(h0) * r0 +
-                             static_cast<std::uint64_t>(h1) * s4 +
-                             static_cast<std::uint64_t>(h2) * s3 +
-                             static_cast<std::uint64_t>(h3) * s2 +
-                             static_cast<std::uint64_t>(h4) * s1;
-    std::uint64_t d1 = static_cast<std::uint64_t>(h0) * r1 + static_cast<std::uint64_t>(h1) * r0 +
-                       static_cast<std::uint64_t>(h2) * s4 + static_cast<std::uint64_t>(h3) * s3 +
-                       static_cast<std::uint64_t>(h4) * s2;
-    std::uint64_t d2 = static_cast<std::uint64_t>(h0) * r2 + static_cast<std::uint64_t>(h1) * r1 +
-                       static_cast<std::uint64_t>(h2) * r0 + static_cast<std::uint64_t>(h3) * s4 +
-                       static_cast<std::uint64_t>(h4) * s3;
-    std::uint64_t d3 = static_cast<std::uint64_t>(h0) * r3 + static_cast<std::uint64_t>(h1) * r2 +
-                       static_cast<std::uint64_t>(h2) * r1 + static_cast<std::uint64_t>(h3) * r0 +
-                       static_cast<std::uint64_t>(h4) * s4;
-    std::uint64_t d4 = static_cast<std::uint64_t>(h0) * r4 + static_cast<std::uint64_t>(h1) * r3 +
-                       static_cast<std::uint64_t>(h2) * r2 + static_cast<std::uint64_t>(h3) * r1 +
-                       static_cast<std::uint64_t>(h4) * r0;
+    const u128 d0 = u128{h0} * r0 + u128{h1} * s2 + u128{h2} * s1;
+    u128 d1 = u128{h0} * r1 + u128{h1} * r0 + u128{h2} * s2;
+    u128 d2 = u128{h0} * r2 + u128{h1} * r1 + u128{h2} * r0;
 
     // Partial carry propagation.
-    std::uint32_t c = static_cast<std::uint32_t>(d0 >> 26);
-    h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
+    std::uint64_t c = static_cast<std::uint64_t>(d0 >> 44);
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
     d1 += c;
-    c = static_cast<std::uint32_t>(d1 >> 26);
-    h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
+    c = static_cast<std::uint64_t>(d1 >> 44);
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
     d2 += c;
-    c = static_cast<std::uint32_t>(d2 >> 26);
-    h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += c;
-    c = static_cast<std::uint32_t>(d3 >> 26);
-    h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += c;
-    c = static_cast<std::uint32_t>(d4 >> 26);
-    h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
+    c = static_cast<std::uint64_t>(d2 >> 42);
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
     h0 += c * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ffffff;
+    c = h0 >> 44;
+    h0 &= kMask44;
     h1 += c;
   }
 
   h_[0] = h0;
   h_[1] = h1;
   h_[2] = h2;
-  h_[3] = h3;
-  h_[4] = h4;
 }
 
 void poly1305::update(const_byte_span data) {
@@ -93,15 +93,15 @@ void poly1305::update(const_byte_span data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == buffer_.size()) {
-      block(buffer_.data(), 1u << 24);
+      blocks(buffer_.data(), 1, kHibit);
       buffered_ = 0;
     }
   }
-  // One blocks() run for the whole full-block span: r, s and h stay in
+  // One blocks() run for the whole full-block span: r and h stay in
   // registers instead of round-tripping through the object per block.
   const std::size_t full = (data.size() - offset) / 16;
   if (full > 0) {
-    blocks(data.data() + offset, full, 1u << 24);
+    blocks(data.data() + offset, full, kHibit);
     offset += full * 16;
   }
   if (offset < data.size()) {
@@ -114,81 +114,64 @@ poly_tag poly1305::finish() {
   if (buffered_ > 0) {
     buffer_[buffered_] = 1;
     for (std::size_t i = buffered_ + 1; i < 16; ++i) buffer_[i] = 0;
-    block(buffer_.data(), 0);
+    blocks(buffer_.data(), 1, 0);
     buffered_ = 0;
   }
 
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
   // Fully carry h.
-  std::uint32_t c = h1 >> 26;
-  h1 &= 0x3ffffff;
+  std::uint64_t c = h1 >> 44;
+  h1 &= kMask44;
   h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
+  c = h2 >> 42;
+  h2 &= kMask42;
   h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
   h1 += c;
 
   // g = h + 5 - 2^130; select g if h >= p.
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
+  std::uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  std::uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
 
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p
   g0 &= mask;
   g1 &= mask;
   g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
   mask = ~mask;
   h0 = (h0 & mask) | g0;
   h1 = (h1 & mask) | g1;
   h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
-
-  // h = h % 2^128 in 32-bit words.
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
 
   // tag = (h + pad) % 2^128
-  std::uint64_t f = static_cast<std::uint64_t>(h0) + pad_[0];
-  h0 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h1) + pad_[1] + (f >> 32);
-  h1 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h2) + pad_[2] + (f >> 32);
-  h2 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h3) + pad_[3] + (f >> 32);
-  h3 = static_cast<std::uint32_t>(f);
+  const std::uint64_t t0 = pad_[0], t1 = pad_[1];
+  h0 += t0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += ((t1 >> 24) & kMask42) + c;
+  h2 &= kMask42;
 
   poly_tag tag;
-  const std::uint32_t words[4] = {h0, h1, h2, h3};
-  for (int i = 0; i < 4; ++i) {
-    tag[4 * i] = static_cast<std::uint8_t>(words[i]);
-    tag[4 * i + 1] = static_cast<std::uint8_t>(words[i] >> 8);
-    tag[4 * i + 2] = static_cast<std::uint8_t>(words[i] >> 16);
-    tag[4 * i + 3] = static_cast<std::uint8_t>(words[i] >> 24);
-  }
+  store64(tag.data(), h0 | (h1 << 44));
+  store64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

@@ -84,55 +84,43 @@ std::optional<bytes> psp_context::open(const_byte_span wire, const_byte_span aad
   return out;
 }
 
-std::size_t psp_context::seal_batch(std::span<const const_byte_span> plaintexts,
-                                    const_byte_span aad, std::span<const byte_span> outs) {
-  aad_scratch_.assign(std::min(plaintexts.size(), outs.size()), aad);
-  return seal_batch(plaintexts, aad_scratch_, outs);
-}
-
-std::size_t psp_context::seal_batch(std::span<const const_byte_span> plaintexts,
-                                    std::span<const const_byte_span> aads,
-                                    std::span<const byte_span> outs) {
-  const std::size_t n = std::min({plaintexts.size(), aads.size(), outs.size()});
-  if (n == 0) return 0;
-
-  // Every packet of the batch uses the current epoch key, so the whole
-  // burst's ChaCha blocks (Poly1305 key block + cipher stream per packet)
-  // can be generated by the multi-stream SIMD kernels in one pass.
-  counter_scratch_.clear();
-  nonce_scratch_.clear();
+std::size_t seal_batch(std::span<const psp_seal_job> jobs, psp_batch_scratch& scratch) {
+  if (jobs.empty()) return 0;
   std::size_t total_blocks = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t iv = iv_counter_++;
-    std::uint8_t nonce[kAeadNonceSize];
-    make_nonce(nonce, current_.spi, iv);
-    std::memcpy(outs[i].data(), nonce, 12);  // nonce == the spi||iv wire prefix
-    const std::size_t blocks = aead_keystream_blocks(plaintexts[i].size());
-    for (std::size_t b = 0; b < blocks; ++b) {
-      counter_scratch_.push_back(static_cast<std::uint32_t>(b));
-      nonce_scratch_.insert(nonce_scratch_.end(), nonce, nonce + 12);
+  for (const psp_seal_job& job : jobs) total_blocks += aead_keystream_blocks(job.plaintext.size());
+  scratch.keys.resize(total_blocks);
+  scratch.counters.resize(total_blocks);
+  scratch.nonces.resize(total_blocks * kAeadNonceSize);
+  scratch.keystream.resize(total_blocks * kChaChaBlockSize);
+
+  // Each job takes its context's next IV, in job order; the blocks of
+  // every job (Poly1305 key block + cipher stream) go into one multi-key
+  // keystream call, each block carrying its own association's key.
+  std::size_t block = 0;
+  for (const psp_seal_job& job : jobs) {
+    psp_context& ctx = job.ctx;
+    std::uint8_t* nonce = job.out.data();  // nonce == the spi||iv wire prefix
+    make_nonce(nonce, ctx.current_.spi, ctx.iv_counter_++);
+    const std::size_t blocks = aead_keystream_blocks(job.plaintext.size());
+    for (std::size_t b = 0; b < blocks; ++b, ++block) {
+      scratch.keys[block] = ctx.current_.key.data();
+      scratch.counters[block] = static_cast<std::uint32_t>(b);
+      std::memcpy(&scratch.nonces[block * kAeadNonceSize], nonce, kAeadNonceSize);
     }
-    total_blocks += blocks;
   }
-  ks_scratch_.resize(total_blocks * 64);
-  chacha20_keystream_blocks(current_.key.data(), counter_scratch_.data(), nonce_scratch_.data(),
-                            total_blocks, ks_scratch_.data());
+  chacha20_keystream_blocks(scratch.keys.data(), scratch.counters.data(), scratch.nonces.data(),
+                            total_blocks, scratch.keystream.data());
 
   std::size_t block_offset = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t blocks = aead_keystream_blocks(plaintexts[i].size());
-    aead_seal_with_keystream(
-        const_byte_span(ks_scratch_).subspan(block_offset * 64, blocks * 64), outs[i].first(12),
-        aads[i], plaintexts[i], outs[i].subspan(12));
+  for (const psp_seal_job& job : jobs) {
+    const std::size_t blocks = aead_keystream_blocks(job.plaintext.size());
+    aead_seal_with_keystream(const_byte_span(scratch.keystream)
+                                 .subspan(block_offset * kChaChaBlockSize,
+                                          blocks * kChaChaBlockSize),
+                             job.out.first(12), job.aad, job.plaintext, job.out.subspan(12));
     block_offset += blocks;
   }
-  return n;
-}
-
-std::size_t psp_context::open_batch(std::span<const const_byte_span> wires, const_byte_span aad,
-                                    std::span<const byte_span> outs, std::span<bool> ok) const {
-  aad_scratch_.assign(std::min({wires.size(), outs.size(), ok.size()}), aad);
-  return open_batch(wires, aad_scratch_, outs, ok);
+  return jobs.size();
 }
 
 std::size_t psp_context::open_batch(std::span<const const_byte_span> wires,
@@ -145,10 +133,11 @@ std::size_t psp_context::open_batch(std::span<const const_byte_span> wires,
   // Packets are grouped by the epoch key their SPI selects (normally the
   // whole batch is the current epoch); each group's keystream is generated
   // in one multi-stream pass.
+  psp_batch_scratch& sc = scratch_;
   auto run_group = [&](const epoch_key& ek) {
-    counter_scratch_.clear();
-    nonce_scratch_.clear();
-    std::size_t total_blocks = 0;
+    sc.keys.clear();
+    sc.counters.clear();
+    sc.nonces.clear();
     auto in_group = [&](std::size_t i) {
       if (wires[i].size() < kPspOverhead) return false;
       std::uint32_t spi = 0;
@@ -159,22 +148,24 @@ std::size_t psp_context::open_batch(std::span<const const_byte_span> wires,
       if (!in_group(i)) continue;
       const std::size_t blocks = aead_keystream_blocks(wires[i].size() - kPspOverhead);
       for (std::size_t b = 0; b < blocks; ++b) {
-        counter_scratch_.push_back(static_cast<std::uint32_t>(b));
+        sc.keys.push_back(ek.key.data());
+        sc.counters.push_back(static_cast<std::uint32_t>(b));
         // The wire's spi||iv prefix is the nonce, verbatim.
-        nonce_scratch_.insert(nonce_scratch_.end(), wires[i].data(), wires[i].data() + 12);
+        sc.nonces.insert(sc.nonces.end(), wires[i].data(), wires[i].data() + 12);
       }
-      total_blocks += blocks;
     }
+    const std::size_t total_blocks = sc.keys.size();
     if (total_blocks == 0) return;
-    ks_scratch_.resize(total_blocks * 64);
-    chacha20_keystream_blocks(ek.key.data(), counter_scratch_.data(), nonce_scratch_.data(),
-                              total_blocks, ks_scratch_.data());
+    sc.keystream.resize(total_blocks * kChaChaBlockSize);
+    chacha20_keystream_blocks(sc.keys.data(), sc.counters.data(), sc.nonces.data(), total_blocks,
+                              sc.keystream.data());
     std::size_t block_offset = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!in_group(i)) continue;
       const std::size_t blocks = aead_keystream_blocks(wires[i].size() - kPspOverhead);
       ok[i] = aead_open_with_keystream(
-          const_byte_span(ks_scratch_).subspan(block_offset * 64, blocks * 64),
+          const_byte_span(sc.keystream)
+              .subspan(block_offset * kChaChaBlockSize, blocks * kChaChaBlockSize),
           wires[i].first(12), aads[i], wires[i].subspan(12), outs[i]);
       if (ok[i]) ++opened;
       block_offset += blocks;
@@ -193,6 +184,7 @@ std::size_t psp_context::peek_prefix_batch(std::span<const const_byte_span> wire
   std::size_t peeked = 0;
   for (std::size_t i = 0; i < n; ++i) ok[i] = false;
 
+  psp_batch_scratch& sc = scratch_;
   auto run_group = [&](const epoch_key& ek) {
     auto in_group = [&](std::size_t i) {
       if (wires[i].size() < kPspOverhead + prefix_len) return false;
@@ -200,23 +192,24 @@ std::size_t psp_context::peek_prefix_batch(std::span<const const_byte_span> wire
       for (int b = 0; b < 4; ++b) spi |= static_cast<std::uint32_t>(wires[i][b]) << (8 * b);
       return spi == ek.spi;
     };
-    counter_scratch_.clear();
-    nonce_scratch_.clear();
-    std::size_t members = 0;
+    sc.keys.clear();
+    sc.counters.clear();
+    sc.nonces.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (!in_group(i)) continue;
-      counter_scratch_.push_back(1);
-      nonce_scratch_.insert(nonce_scratch_.end(), wires[i].data(), wires[i].data() + 12);
-      ++members;
+      sc.keys.push_back(ek.key.data());
+      sc.counters.push_back(1);
+      sc.nonces.insert(sc.nonces.end(), wires[i].data(), wires[i].data() + 12);
     }
+    const std::size_t members = sc.keys.size();
     if (members == 0) return;
-    ks_scratch_.resize(members * kChaChaBlockSize);
-    chacha20_keystream_blocks(ek.key.data(), counter_scratch_.data(), nonce_scratch_.data(),
-                              members, ks_scratch_.data());
+    sc.keystream.resize(members * kChaChaBlockSize);
+    chacha20_keystream_blocks(sc.keys.data(), sc.counters.data(), sc.nonces.data(), members,
+                              sc.keystream.data());
     std::size_t b = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!in_group(i)) continue;
-      const std::uint8_t* ks = ks_scratch_.data() + b * kChaChaBlockSize;
+      const std::uint8_t* ks = sc.keystream.data() + b * kChaChaBlockSize;
       for (std::size_t j = 0; j < prefix_len; ++j) outs[i * prefix_len + j] = wires[i][12 + j] ^ ks[j];
       ok[i] = true;
       ++peeked;

@@ -4,6 +4,7 @@
 
 #include "common/serial.h"
 #include "common/trace.h"
+#include "crypto/aead.h"
 #include "crypto/kdf.h"
 
 namespace interedge::ilp {
@@ -190,24 +191,35 @@ void pipe::seal_into(const ilp_header& header, const_byte_span payload, bytes& o
   ++stats_.sealed;
 }
 
-void pipe::seal_head_into(const ilp_header& header, std::size_t payload_len, bytes& head) {
+staged_head pipe::stage_head(const ilp_header& header, std::size_t payload_len, bytes& arena) {
   header_scratch_.clear();
   header.encode_into(header_scratch_);
   const const_byte_span header_bytes = header_scratch_.data();
   const std::size_t sealed_len = header_bytes.size() + crypto::kPspOverhead;
 
-  std::uint8_t aad[8];
-  length_aad(aad, payload_len);
+  staged_head head;
+  head.offset = static_cast<std::uint32_t>(arena.size());
+  arena.push_back(static_cast<std::uint8_t>(msg_kind::data));
+  append_varint(arena, sealed_len);
+  head.sealed = static_cast<std::uint32_t>(arena.size() - head.offset);
+  arena.resize(arena.size() + 12);  // spi || iv
+  arena.insert(arena.end(), header_bytes.begin(), header_bytes.end());
+  arena.resize(arena.size() + crypto::kAeadTagSize + 8);  // tag, then the AAD
+  head.size = static_cast<std::uint32_t>(arena.size() - 8 - head.offset);
+  length_aad(arena.data() + head.offset + head.size, payload_len);
+  return head;
+}
 
-  head.clear();
-  head.reserve(1 + 10 + sealed_len);
-  head.push_back(static_cast<std::uint8_t>(msg_kind::data));
-  append_varint(head, sealed_len);
-  const std::size_t seal_offset = head.size();
-  head.resize(seal_offset + sealed_len);
-  tx_.seal_into(header_bytes, const_byte_span(aad, 8),
-                byte_span(head).subspan(seal_offset, sealed_len));
+crypto::psp_seal_job pipe::seal_job(const staged_head& head, bytes& arena) {
+  const byte_span sealed =
+      byte_span(arena).subspan(head.offset + head.sealed, head.size - head.sealed);
   ++stats_.sealed;
+  return crypto::psp_seal_job{
+      .ctx = tx_,
+      .plaintext = sealed.subspan(12, sealed.size() - crypto::kPspOverhead),
+      .aad = const_byte_span(arena).subspan(head.offset + head.size, 8),
+      .out = sealed,
+  };
 }
 
 bytes pipe::seal(const ilp_header& header, const_byte_span payload) {

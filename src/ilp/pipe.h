@@ -59,6 +59,15 @@ struct flow_peek {
   std::uint64_t connection = 0;
 };
 
+// A data-message head staged for a batch seal (pipe::stage_head): offsets
+// into the caller's arena, so the arena may grow while heads are staged.
+// The 8-byte payload-length AAD follows the head in the arena.
+struct staged_head {
+  std::uint32_t offset = 0;  // the kind byte
+  std::uint32_t size = 0;    // kind byte .. tag
+  std::uint32_t sealed = 0;  // spi || iv || ciphertext || tag, from offset
+};
+
 namespace detail {
 
 // Receive-side decrypt engine: the PSP rx context plus the scratch the
@@ -137,12 +146,19 @@ class pipe {
   // header metadata map — the seal itself allocates nothing.
   void seal_into(const ilp_header& header, const_byte_span payload, bytes& out);
 
-  // Gather-send variant: writes only the message head (kind byte, varint
-  // framing, sealed header — with the AAD binding `payload_len`) into
-  // `head`, leaving the payload to be supplied as a second iovec at send
-  // time (udp_endpoint::send_gather). The egress path never concatenates
-  // head and payload into one buffer.
-  void seal_head_into(const ilp_header& header, std::size_t payload_len, bytes& head);
+  // Queued egress (pipe_manager::queue_span): appends an unsealed message
+  // head for `header` with a `payload_len`-byte payload to `arena` — the
+  // kind byte, the varint framing, then the sealed region with the
+  // encoded header in the clear where its ciphertext goes — followed by
+  // the payload-length AAD. The header object may die after the call;
+  // the payload is supplied as a second iovec at send time
+  // (udp_endpoint::send_gather), so head and payload are never glued.
+  staged_head stage_head(const ilp_header& header, std::size_t payload_len, bytes& arena);
+
+  // The job that seals a head staged in `arena` in place: one job of a
+  // multi-key crypto::seal_batch, whose bytes equal a single seal_into of
+  // the same header at the same IV. Counts the packet as sealed.
+  crypto::psp_seal_job seal_job(const staged_head& head, bytes& arena);
 
   // Parses a data message body (kind byte already consumed).
   // nullopt if the header fails to authenticate or the message is malformed.

@@ -2,9 +2,11 @@
 
 #include <bit>
 #include <iterator>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "common/serial.h"
+#include "crypto/aead.h"
 #include "crypto/random.h"
 
 namespace interedge::ilp {
@@ -52,6 +54,7 @@ void pipe_manager::connect(peer_id peer) {
 }
 
 void pipe_manager::start_handshake(peer_id peer) {
+  flush();
   pending_state state;
   state.keypair = fresh_keypair();
   state.local_spi = fresh_spi();
@@ -60,6 +63,7 @@ void pipe_manager::start_handshake(peer_id peer) {
 }
 
 void pipe_manager::send(peer_id peer, const ilp_header& header, bytes payload) {
+  flush();
   auto it = pipes_.find(peer);
   if (it != pipes_.end()) {
     send_(peer, it->second->seal(header, payload));
@@ -73,29 +77,63 @@ void pipe_manager::send(peer_id peer, const ilp_header& header, bytes payload) {
   pending_it->second.queued.emplace_back(header, std::move(payload));
 }
 
-void pipe_manager::send_span(peer_id peer, const ilp_header& header, const_byte_span payload) {
+void pipe_manager::queue_span(peer_id peer, const ilp_header& header, const_byte_span payload) {
   auto it = pipes_.find(peer);
-  if (it != pipes_.end()) {
-    if (send_gather_) {
-      it->second->seal_head_into(header, payload.size(), seal_scratch_);
-      send_gather_(peer, seal_scratch_, payload);
-      return;
-    }
-    it->second->seal_into(header, payload, seal_scratch_);
-    send_(peer, seal_scratch_);  // no zero-copy hook: compat copy
+  if (it == pipes_.end()) {
+    // Cold path: the packet queues behind the handshake, so it needs to
+    // own its payload.
+    send(peer, header, bytes(payload.begin(), payload.end()));
     return;
   }
-  // Cold path: the packet queues behind the handshake, so it needs to own
-  // its payload.
-  auto pending_it = pending_.find(peer);
-  if (pending_it == pending_.end()) {
-    start_handshake(peer);
-    pending_it = pending_.find(peer);
+  if (queue_.capacity() == 0) {
+    // First use: room for a burst of ILP-sized heads, so the storage does
+    // not grow again with whatever burst sizes follow (the SN's bursts are
+    // at most 32 packets; kQueueHeadRoom covers a header with a trace
+    // context).
+    queue_.reserve(kQueueBurst);
+    queue_arena_.reserve(kQueueBurst * kQueueHeadRoom);
+    seal_jobs_.reserve(kQueueBurst);
+    seal_scratch_.reserve(kQueueBurst * crypto::aead_keystream_blocks(kQueueHeadRoom));
   }
-  pending_it->second.queued.emplace_back(header, bytes(payload.begin(), payload.end()));
+  pipe& p = *it->second;
+  queue_.push_back(queued_send{peer, &p, p.stage_head(header, payload.size(), queue_arena_),
+                               payload});
+}
+
+void pipe_manager::flush() {
+  if (queue_.empty()) return;
+  // A send hook that re-enters the manager would flush a queue this call
+  // is still handing out.
+  if (flushing_) throw std::logic_error("pipe_manager::flush re-entered from a send hook");
+  flushing_ = true;
+  struct reset {
+    pipe_manager& m;
+    ~reset() {
+      m.queue_.clear();
+      m.queue_arena_.clear();
+      m.flushing_ = false;
+    }
+  } on_exit{*this};
+
+  seal_jobs_.clear();
+  for (const queued_send& q : queue_) seal_jobs_.push_back(q.p->seal_job(q.head, queue_arena_));
+  crypto::seal_batch(seal_jobs_, seal_scratch_);
+  for (const queued_send& q : queue_) {
+    const const_byte_span head = const_byte_span(queue_arena_).subspan(q.head.offset, q.head.size);
+    if (send_gather_) {
+      send_gather_(q.peer, head, q.payload);
+      continue;
+    }
+    bytes datagram;  // no zero-copy hook: glue an owned datagram
+    datagram.reserve(head.size() + q.payload.size());
+    datagram.insert(datagram.end(), head.begin(), head.end());
+    datagram.insert(datagram.end(), q.payload.begin(), q.payload.end());
+    send_(q.peer, std::move(datagram));
+  }
 }
 
 void pipe_manager::on_datagram(peer_id peer, const_byte_span datagram) {
+  flush();
   if (datagram.empty()) {
     reject(peer, refusal::empty);
     return;
@@ -215,6 +253,7 @@ void pipe_manager::establish(peer_id peer, const crypto::x25519_key& secret_scal
                              const crypto::x25519_key& peer_public, std::uint32_t local_spi,
                              std::uint32_t remote_spi, bool initiator,
                              std::vector<std::pair<ilp_header, bytes>> queued) {
+  flush();  // queued heads name the pipe this may replace
   const crypto::x25519_key shared = crypto::x25519(secret_scalar, peer_public);
   auto p = std::make_unique<pipe>(const_byte_span(shared.data(), shared.size()), local_spi,
                                   remote_spi, initiator);
@@ -249,6 +288,7 @@ void pipe_manager::establish(peer_id peer, const crypto::x25519_key& secret_scal
 }
 
 void pipe_manager::on_datagram_batch_mut(peer_id peer, std::span<const byte_span> datagrams) {
+  flush();
   // Without a batch deliver path there is nothing to amortize — reuse the
   // single-datagram path.
   if (!deliver_batch_) {
@@ -256,7 +296,7 @@ void pipe_manager::on_datagram_batch_mut(peer_id peer, std::span<const byte_span
     return;
   }
   run_mut_scratch_.clear();
-  auto flush = [&] {
+  auto end_run = [&] {
     if (!run_mut_scratch_.empty()) {
       flush_data_run_mut(peer, run_mut_scratch_);
       run_mut_scratch_.clear();
@@ -269,10 +309,10 @@ void pipe_manager::on_datagram_batch_mut(peer_id peer, std::span<const byte_span
     }
     // Handshake, keepalive or refused datagram: preserve arrival order
     // relative to the data packets around it, then handle inline.
-    flush();
+    end_run();
     on_datagram(peer, datagram);
   }
-  flush();
+  end_run();
 }
 
 // Decrypts one data run in place, counts its rejects and hands the opened
@@ -316,9 +356,9 @@ void pipe_manager::handle_data(peer_id peer, const_byte_span body) {
 
 // ---- liveness ----------------------------------------------------------
 
-void pipe_manager::enable_liveness(const clock& clk, liveness_config cfg) {
+void pipe_manager::enable_liveness(const clock& clk, std::uint64_t jitter_seed) {
   liveness_clock_ = &clk;
-  jitter_rng_.emplace(cfg.jitter_seed);
+  jitter_rng_.emplace(jitter_seed);
   // Pipes established before liveness was armed get tracked from now on;
   // establish() only creates entries once liveness_clock_ is set.
   for (const auto& [peer, p] : pipes_) liveness_.try_emplace(peer);
@@ -404,6 +444,7 @@ void pipe_manager::handle_keepalive_ack(peer_id peer, const_byte_span body) {
 }
 
 void pipe_manager::declare_down(peer_id peer, liveness_state& st, time_point now) {
+  flush();  // queued heads name the pipe torn down below
   st.stats.down = true;
   ++st.stats.times_down;
   st.awaiting_ack = false;
@@ -447,6 +488,7 @@ void pipe_manager::attempt_reconnect(peer_id peer, liveness_state& st, time_poin
 
 void pipe_manager::liveness_tick() {
   if (!liveness_clock_) return;
+  flush();
   const time_point now = liveness_clock_->now();
   for (auto& [peer, st] : liveness_) {
     if (st.stats.down) {
@@ -470,6 +512,7 @@ void pipe_manager::liveness_tick() {
 bool pipe_manager::has_pipe(peer_id peer) const { return pipes_.count(peer) > 0; }
 
 void pipe_manager::retry_pending() {
+  flush();
   for (auto& [peer, state] : pending_) {
     send_(peer,
           handshake_message(msg_kind::handshake_init, state.local_spi, state.keypair.public_key));
@@ -477,6 +520,7 @@ void pipe_manager::retry_pending() {
 }
 
 void pipe_manager::rotate_all() {
+  flush();
   for (auto& [peer, p] : pipes_) {
     p->rotate_tx();
     p->rotate_rx();

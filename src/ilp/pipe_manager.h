@@ -30,18 +30,6 @@
 
 namespace interedge::ilp {
 
-// Liveness policy for established pipes (see DESIGN.md §10): the owner
-// calls liveness_tick() every keepalive_interval; a peer that misses
-// pipe_manager::kMissBudget consecutive probes is declared down, its pipe
-// torn down, and reconnection attempted with exponential backoff + jitter.
-// The fresh handshake on re-establishment is the forced rekey — a revived
-// peer never resumes the old keys.
-struct liveness_config {
-  nanoseconds keepalive_interval = std::chrono::milliseconds(100);
-  // Jitter is deterministic given the seed (simulator-friendly).
-  std::uint64_t jitter_seed = 0x11fe11fe;
-};
-
 struct liveness_stats {
   std::uint64_t probes_sent = 0;
   std::uint64_t acks_received = 0;
@@ -64,8 +52,8 @@ class pipe_manager {
   // Zero-copy egress hook (optional): the sealed message head and the
   // payload stay separate buffers, to be glued by scatter-gather I/O
   // (udp_endpoint::send_gather). Both spans are valid only for the
-  // duration of the call. Without it, send_span falls back to the owning
-  // send_fn.
+  // duration of the call. Without it, flush() glues each datagram and
+  // hands it to the owning send_fn.
   using send_gather_fn =
       std::function<void(peer_id peer, const_byte_span head, const_byte_span payload)>;
 
@@ -75,11 +63,25 @@ class pipe_manager {
   // (packets queue behind the handshake).
   void send(peer_id peer, const ilp_header& header, bytes payload);
 
-  // Zero-copy send: seals into reused scratch and hands the result to the
-  // gather hook (falling back to an owned copy through send_fn when it is
-  // not set). The payload is only read during the call. Queues an owned
-  // copy behind a pending handshake — the cold path still copies.
-  void send_span(peer_id peer, const ilp_header& header, const_byte_span payload);
+  // Egress queue: queue_span encodes the header into the queue's arena at
+  // once (the header object may die after the call) and keeps `payload`
+  // as a view, which must stay valid until the next flush(). flush() seals
+  // every queued head in one multi-key crypto::seal_batch, then hands each
+  // (head, payload) to the gather hook in queue order. Every other entry
+  // point (send, handshakes, keepalives and acks, establishment, rotation,
+  // liveness and every on_datagram*) flushes first, so datagrams leave in
+  // exactly the order they were sent or queued, and no queued pipe outlives
+  // a re-handshake, rotation or teardown. A peer without a pipe takes the
+  // cold path: an owned copy queued behind the handshake. The queue's
+  // storage grows on first use and is reused.
+  void queue_span(peer_id peer, const ilp_header& header, const_byte_span payload);
+  void flush();
+
+  // Zero-copy send: queue_span + flush.
+  void send_span(peer_id peer, const ilp_header& header, const_byte_span payload) {
+    queue_span(peer, header, payload);
+    flush();
+  }
 
   void set_send_gather(send_gather_fn f) { send_gather_ = std::move(f); }
 
@@ -136,13 +138,15 @@ class pipe_manager {
   static constexpr nanoseconds kReconnectBackoff = std::chrono::milliseconds(50);
   static constexpr nanoseconds kReconnectBackoffMax = std::chrono::seconds(2);
 
-  // Arms keepalive probing. The manager does not own a timer; the owner
-  // calls liveness_tick() every cfg.keepalive_interval (the clock is only
-  // read, so any clock& — simulated or real — works).
-  void enable_liveness(const clock& clk, liveness_config cfg = {});
+  // Arms keepalive probing. The manager does not own a timer: the owner
+  // drives liveness_tick() from its own (the clock is only read, so any
+  // clock& — simulated or real — works). Reconnect jitter is
+  // deterministic given the seed (simulator-friendly).
+  static constexpr std::uint64_t kDefaultJitterSeed = 0x11fe11fe;
+  void enable_liveness(const clock& clk, std::uint64_t jitter_seed = kDefaultJitterSeed);
   bool liveness_enabled() const { return liveness_clock_ != nullptr; }
 
-  // One probe interval: counts outstanding probes as misses, declares
+  // One probe round: counts outstanding probes as misses, declares
   // peers past the miss budget down (pipe torn down, status hook fired,
   // reconnect scheduled), sends the next round of probes, and drives
   // pending reconnects whose backoff has elapsed.
@@ -246,7 +250,21 @@ class pipe_manager {
   std::vector<byte_span> run_mut_scratch_;
   std::vector<std::optional<opened_packet>> opened_scratch_;
   std::vector<opened_packet> batch_scratch_;
-  bytes seal_scratch_;  // send_span's sealed-message reuse
+  // The egress queue (queue_span / flush). Heads live in the arena at the
+  // offsets their entries record; payloads are the callers' views.
+  struct queued_send {
+    peer_id peer;
+    pipe* p;
+    staged_head head;
+    const_byte_span payload;
+  };
+  static constexpr std::size_t kQueueBurst = 32;
+  static constexpr std::size_t kQueueHeadRoom = 128;
+  std::vector<queued_send> queue_;
+  bytes queue_arena_;
+  std::vector<crypto::psp_seal_job> seal_jobs_;
+  crypto::psp_batch_scratch seal_scratch_;
+  bool flushing_ = false;
   std::map<peer_id, std::unique_ptr<pipe>> pipes_;
   std::map<peer_id, pending_state> pending_;
   std::map<peer_id, responder_memo> responder_memos_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace interedge {
@@ -9,7 +11,8 @@ namespace {
 
 flag_set parse(std::vector<const char*> args) {
   args.insert(args.begin(), "prog");
-  return flag_set(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  return flag_set(static_cast<int>(args.size()), const_cast<char**>(args.data()),
+                  {"count", "name", "verbose", "missing", "rate"});
 }
 
 TEST(Flags, EqualsSyntax) {
@@ -46,6 +49,21 @@ TEST(Flags, PositionalArguments) {
 TEST(Flags, DoubleParsing) {
   auto f = parse({"--rate=0.25"});
   EXPECT_DOUBLE_EQ(f.get_double("rate", 0), 0.25);
+}
+
+// A flag the program does not read is an error in every form, and the
+// error names it.
+TEST(Flags, UnknownFlagIsAnError) {
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"--count=1", "--profile=1"},
+        std::vector<const char*>{"--profile", "1"}, std::vector<const char*>{"--profile"}}) {
+    try {
+      parse(args);
+      ADD_FAILURE() << "accepted " << args.back();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--profile"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -30,10 +30,12 @@ class terminus_fixture : public ::testing::Test {
   terminus_fixture()
       : cache_(16),
         channel_([this](slowpath_request req) { return handler_(std::move(req)); }),
-        terminus_(cache_, channel_, [this](peer_id to, const ilp::ilp_header& h,
-                                           const_byte_span p) {
-          forwarded_.push_back({to, h, bytes(p.begin(), p.end())});
-        }) {
+        terminus_(
+            cache_, channel_,
+            [this](peer_id to, const ilp::ilp_header& h, const_byte_span p) {
+              forwarded_.push_back({to, h, bytes(p.begin(), p.end())});
+            },
+            [this] { burst_ends_.push_back(forwarded_.size()); }) {
     // Default handler: forward to hop 50 and install a cache entry.
     handler_ = [](slowpath_request req) {
       const packet& pkt = *req.pkt;
@@ -62,6 +64,7 @@ class terminus_fixture : public ::testing::Test {
   inline_channel channel_;
   pipe_terminus terminus_;
   std::vector<forwarded_packet> forwarded_;
+  std::vector<std::size_t> burst_ends_;  // forwarded_.size() at each burst end
 };
 
 TEST_F(terminus_fixture, FirstPacketSlowPathSecondFastPath) {
@@ -76,6 +79,44 @@ TEST_F(terminus_fixture, FirstPacketSlowPathSecondFastPath) {
   ASSERT_EQ(forwarded_.size(), 2u);
   EXPECT_EQ(forwarded_[0].to, 50u);
   EXPECT_EQ(forwarded_[1].to, 50u);
+}
+
+// Burst ends bound the life of every forwarded payload view. A batch of
+// two hits and two misses, where the module answers each miss with three
+// sends plus a forward verdict: the hits leave, then a burst end; each
+// completion's sends and verdict forward leave, then a burst end, before
+// the next completion starts.
+TEST_F(terminus_fixture, BurstEndsFollowTheHitsAndEachCompletion) {
+  handle(terminus_, make_packet(1));
+  handle(terminus_, make_packet(2));  // conns 1 and 2 are now cached
+  forwarded_.clear();
+  burst_ends_.clear();
+  handler_ = [](slowpath_request req) {
+    slowpath_response resp;
+    resp.token = req.token;
+    resp.verdict = decision::forward_to(50);
+    for (peer_id to : {60, 61, 62}) {
+      outbound o;
+      o.to = to;
+      o.header.connection = req.pkt->header.connection;
+      o.payload = to_bytes("reply");
+      resp.sends.push_back(std::move(o));
+    }
+    return resp;
+  };
+  std::vector<packet> batch = {make_packet(1), make_packet(10), make_packet(2), make_packet(11)};
+  handle_batch(terminus_, batch);
+
+  const std::vector<std::pair<peer_id, ilp::connection_id>> expected = {
+      {50, 1},  {50, 2},                                // the hits
+      {60, 10}, {61, 10}, {62, 10}, {50, 10},           // the first completion
+      {60, 11}, {61, 11}, {62, 11}, {50, 11}};          // the second
+  ASSERT_EQ(forwarded_.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(forwarded_[i].to, expected[i].first) << i;
+    EXPECT_EQ(forwarded_[i].header.connection, expected[i].second) << i;
+  }
+  EXPECT_EQ(burst_ends_, (std::vector<std::size_t>{2, 6, 10}));
 }
 
 TEST_F(terminus_fixture, PayloadForwardedByteIdentical) {
@@ -457,6 +498,44 @@ TEST(ShedBoundedSubmit, FullChannelShedsAfterRetryBudget) {
   EXPECT_EQ(terminus.stats().shed, 1u);
   EXPECT_EQ(terminus.stats().backpressure, 5u);
   EXPECT_EQ(terminus.in_flight(), 0u);
+}
+
+// A miss that sheds after its failed submits forwards from its pending
+// slot, and the next miss of the batch re-claims that slot: the burst
+// ends before the slot is released, while the forwarded view still reads
+// the first packet's bytes.
+TEST(ShedBoundedSubmit, BurstEndsBeforeTheShedSlotIsReleased) {
+  manual_clock clk;
+  decision_cache cache(16);
+  cache.set_clock(&clk);
+  full_channel channel;
+  std::vector<const_byte_span> views;  // held until the burst end, as a queue would
+  std::vector<bytes> sent;
+  std::vector<std::size_t> burst_ends;
+  pipe_terminus terminus(
+      cache, channel,
+      [&](peer_id, const ilp::ilp_header&, const_byte_span payload) { views.push_back(payload); },
+      [&] {
+        for (const_byte_span v : views) sent.emplace_back(v.begin(), v.end());
+        views.clear();
+        burst_ends.push_back(sent.size());
+      });
+  terminus.set_slowpath_policy({.clk = &clk, .high_water = 8, .submit_retries = 2});
+  terminus.set_shed_verdict(ilp::svc::delivery, decision::forward_to(9));
+
+  std::vector<packet> batch(2);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].l3_src = 7;
+    batch[i].header.service = ilp::svc::delivery;
+    batch[i].header.connection = 1 + i;
+    batch[i].payload = to_bytes(i == 0 ? "first" : "second");
+  }
+  handle_batch(terminus, batch);
+  EXPECT_EQ(terminus.stats().shed, 2u);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0], to_bytes("first"));
+  EXPECT_EQ(sent[1], to_bytes("second"));
+  EXPECT_EQ(burst_ends, (std::vector<std::size_t>{1, 2, 2}));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
 
 #include "crypto/cpu_features.h"
 #include "crypto/simd_levels.h"
@@ -217,12 +219,53 @@ TEST(ChaCha20, KeystreamBlocksMatchesBlockFunctionPerStream) {
     for (std::size_t n = 1; n <= kMaxBlocks; ++n) {
       // One guard block past the end: the padded remainder must not spill.
       bytes out((n + 1) * kChaChaBlockSize, 0xee);
-      chacha20_keystream_blocks(key.data(), counters, nonces.data(), n, out.data());
+      const std::vector<const std::uint8_t*> keys(n, key.data());
+      chacha20_keystream_blocks(keys.data(), counters, nonces.data(), n, out.data());
       EXPECT_TRUE(std::equal(out.begin(), out.begin() + n * kChaChaBlockSize, expected.begin()))
           << "n=" << n << " backend=" << simd_level_name(level);
       EXPECT_EQ(bytes(out.end() - kChaChaBlockSize, out.end()), bytes(kChaChaBlockSize, 0xee))
           << "n=" << n << " backend=" << simd_level_name(level);
     }
+  }
+}
+
+// Per-block keys: every block of one call carries its own random key,
+// counter and nonce, and must equal chacha20_block under that key, on
+// every backend, for n = 1..11, with a guard block past the end.
+TEST(ChaCha20, MultiKeyKeystreamMatchesBlockFunctionPerBlock) {
+  constexpr std::size_t kMaxBlocks = 11;
+  std::mt19937_64 rng(0xc4ac4a20);
+  auto random_bytes = [&](std::size_t len) {
+    bytes b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng());
+    return b;
+  };
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<bytes> keys;
+    std::vector<const std::uint8_t*> key_ptrs;
+    std::uint32_t counters[kMaxBlocks];
+    const bytes nonces = random_bytes(kMaxBlocks * kChaChaNonceSize);
+    for (std::size_t b = 0; b < kMaxBlocks; ++b) {
+      keys.push_back(random_bytes(kChaChaKeySize));
+      counters[b] = static_cast<std::uint32_t>(rng());
+    }
+    for (const bytes& k : keys) key_ptrs.push_back(k.data());
+
+    bytes expected(kMaxBlocks * kChaChaBlockSize);
+    for (std::size_t b = 0; b < kMaxBlocks; ++b) {
+      chacha20_block(keys[b].data(), counters[b], nonces.data() + b * kChaChaNonceSize,
+                     expected.data() + b * kChaChaBlockSize);
+    }
+    for_each_simd_level([&](simd_level level) {
+      for (std::size_t n = 1; n <= kMaxBlocks; ++n) {
+        bytes out((n + 1) * kChaChaBlockSize, 0xee);
+        chacha20_keystream_blocks(key_ptrs.data(), counters, nonces.data(), n, out.data());
+        EXPECT_TRUE(std::equal(out.begin(), out.begin() + n * kChaChaBlockSize, expected.begin()))
+            << "n=" << n << " trial=" << trial << " backend=" << simd_level_name(level);
+        EXPECT_EQ(bytes(out.end() - kChaChaBlockSize, out.end()), bytes(kChaChaBlockSize, 0xee))
+            << "n=" << n << " trial=" << trial << " backend=" << simd_level_name(level);
+      }
+    });
   }
 }
 

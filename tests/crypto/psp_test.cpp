@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/simd_levels.h"
 
 namespace interedge::crypto {
@@ -196,9 +199,13 @@ TEST(Psp, SealBatchOpenBatchRoundTrip) {
     wires[i].resize(plaintexts[i].size() + kPspOverhead);
     wire_spans[i] = wires[i];
   }
-  EXPECT_EQ(tx.seal_batch(pt_spans, aad, wire_spans), kCount);
+  std::vector<psp_seal_job> jobs;
+  for (std::size_t i = 0; i < kCount; ++i) jobs.push_back({tx, pt_spans[i], aad, wire_spans[i]});
+  psp_batch_scratch scratch;
+  EXPECT_EQ(seal_batch(jobs, scratch), kCount);
 
   std::vector<const_byte_span> wire_views(wires.begin(), wires.end());
+  const std::vector<const_byte_span> aads(kCount, aad);
   std::vector<bytes> opened(kCount);
   std::vector<byte_span> opened_spans(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
@@ -207,7 +214,7 @@ TEST(Psp, SealBatchOpenBatchRoundTrip) {
   }
   // std::vector<bool> is bit-packed and cannot back a span<bool>.
   bool ok_flags[kCount] = {};
-  EXPECT_EQ(rx.open_batch(wire_views, aad, opened_spans, ok_flags), kCount);
+  EXPECT_EQ(rx.open_batch(wire_views, aads, opened_spans, ok_flags), kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_TRUE(ok_flags[i]) << i;
     EXPECT_EQ(opened[i], plaintexts[i]) << i;
@@ -232,7 +239,8 @@ TEST(Psp, OpenBatchRejectsTamperedPacketOnly) {
     opened_spans[i] = opened[i];
   }
   bool ok_flags[kCount] = {};
-  EXPECT_EQ(rx.open_batch(wire_views, const_byte_span{}, opened_spans, ok_flags), kCount - 1);
+  const std::vector<const_byte_span> aads(kCount);
+  EXPECT_EQ(rx.open_batch(wire_views, aads, opened_spans, ok_flags), kCount - 1);
   EXPECT_TRUE(ok_flags[0]);
   EXPECT_TRUE(ok_flags[1]);
   EXPECT_FALSE(ok_flags[2]);
@@ -249,6 +257,7 @@ TEST(Psp, SealIntoMatchesSealBatchOnEveryBackend) {
   for_each_simd_level([&](simd_level level) {
     psp_context single(test_master(), 6);
     psp_context batched(test_master(), 6);
+    psp_batch_scratch scratch;
     constexpr std::size_t kBatch = 7;
     for (std::size_t first = 0; first <= 300; first += kBatch) {
       std::vector<bytes> plaintexts, wires;
@@ -256,15 +265,70 @@ TEST(Psp, SealIntoMatchesSealBatchOnEveryBackend) {
         plaintexts.push_back(pattern(len, static_cast<std::uint8_t>(len)));
         wires.emplace_back(len + kPspOverhead);
       }
-      std::vector<const_byte_span> pt_spans(plaintexts.begin(), plaintexts.end());
-      std::vector<byte_span> wire_spans(wires.begin(), wires.end());
-      ASSERT_EQ(batched.seal_batch(pt_spans, aad, wire_spans), plaintexts.size());
+      std::vector<psp_seal_job> jobs;
+      for (std::size_t i = 0; i < plaintexts.size(); ++i) {
+        jobs.push_back({batched, plaintexts[i], aad, wires[i]});
+      }
+      ASSERT_EQ(seal_batch(jobs, scratch), plaintexts.size());
       for (std::size_t i = 0; i < plaintexts.size(); ++i) {
         bytes wire(plaintexts[i].size() + kPspOverhead);
         single.seal_into(plaintexts[i], aad, wire);
         EXPECT_EQ(wire, wires[i]) << "len=" << plaintexts[i].size()
                                   << " backend=" << simd_level_name(level);
       }
+    }
+  });
+}
+
+// A multi-key batch: jobs interleave four contexts with distinct keys
+// (and, after a rotation, a second epoch), plaintexts of 0..300 bytes,
+// some sealed in place. Every wire equals seal_into on a twin context fed
+// the same sequence, so each context's IVs rise by one in job order, on
+// every backend.
+TEST(Psp, MultiKeySealBatchMatchesSealIntoOnEveryBackend) {
+  constexpr std::size_t kContexts = 4;
+  for_each_simd_level([&](simd_level level) {
+    std::vector<psp_context> batched, twins;
+    for (std::size_t c = 0; c < kContexts; ++c) {
+      const auto fill = static_cast<std::uint8_t>(0x30 + c);
+      batched.emplace_back(test_master(fill), static_cast<std::uint32_t>(10 + c));
+      twins.emplace_back(test_master(fill), static_cast<std::uint32_t>(10 + c));
+    }
+    batched[3].rotate();
+    twins[3].rotate();
+    psp_batch_scratch scratch;
+    std::size_t len = 0;
+    for (std::size_t round = 0; len <= 300; ++round) {
+      // 1..9 jobs per call, so the calls hit every quad remainder.
+      const std::size_t count = 1 + round % 9;
+      std::vector<bytes> plaintexts, wires, aads;
+      std::vector<std::size_t> owner;
+      for (std::size_t j = 0; j < count && len <= 300; ++j, len += 3) {
+        owner.push_back((round + j * 3) % kContexts);
+        plaintexts.push_back(pattern(len, static_cast<std::uint8_t>(len + round)));
+        aads.emplace_back(j % 21, static_cast<std::uint8_t>(0xa0 + j));
+        wires.emplace_back(len + kPspOverhead);
+      }
+      std::vector<psp_seal_job> jobs;
+      for (std::size_t j = 0; j < plaintexts.size(); ++j) {
+        // Odd jobs seal in place: the plaintext already sits at out + 12.
+        const_byte_span plain = plaintexts[j];
+        if (j % 2 == 1) {
+          std::copy(plaintexts[j].begin(), plaintexts[j].end(), wires[j].begin() + 12);
+          plain = const_byte_span(wires[j]).subspan(12, plaintexts[j].size());
+        }
+        jobs.push_back({batched[owner[j]], plain, aads[j], wires[j]});
+      }
+      ASSERT_EQ(seal_batch(jobs, scratch), jobs.size());
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        bytes wire(plaintexts[j].size() + kPspOverhead);
+        twins[owner[j]].seal_into(plaintexts[j], aads[j], wire);
+        EXPECT_EQ(wire, wires[j]) << "len=" << plaintexts[j].size() << " ctx=" << owner[j]
+                                  << " backend=" << simd_level_name(level);
+      }
+    }
+    for (std::size_t c = 0; c < kContexts; ++c) {
+      EXPECT_EQ(batched[c].packets_sealed(), twins[c].packets_sealed()) << c;
     }
   });
 }

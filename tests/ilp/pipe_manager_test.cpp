@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 
+#include "common/serial.h"
 #include "simnet/simulation.h"
 
 namespace interedge::ilp {
@@ -255,7 +258,7 @@ using namespace std::chrono_literals;
 void drive_liveness(simulation& net, std::initializer_list<element*> elems,
                     nanoseconds interval, nanoseconds until) {
   for (element* e : elems) {
-    e->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = interval});
+    e->mgr->enable_liveness(net.sim_clock());
   }
   for (auto t = net.now() + interval; t <= time_point(until); t += interval) {
     for (element* e : elems) {
@@ -379,7 +382,7 @@ TEST(PipeLiveness, DataTrafficSuppressesFalsePositives) {
   a->mgr->connect(b->node);
   net.run();
 
-  a->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
+  a->mgr->enable_liveness(net.sim_clock());
   // b sends data to a every 5 ms, keeping the pipe visibly alive at a.
   std::function<void()> chatter = [&] {
     b->mgr->send(a->node, header_for(1), to_bytes("d"));
@@ -410,7 +413,7 @@ TEST(PipeLiveness, ProbeOnWireIsOpaque) {
 
   std::vector<bytes> wire;
   net.set_tap([&](node_id, node_id, const bytes& d) { wire.push_back(d); });
-  a->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
+  a->mgr->enable_liveness(net.sim_clock());
   a->mgr->liveness_tick();
   net.run();
 
@@ -422,6 +425,145 @@ TEST(PipeLiveness, ProbeOnWireIsOpaque) {
   const liveness_stats* st = a->mgr->liveness_for(b->node);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->acks_received, 1u);
+}
+
+// ---- egress queue ------------------------------------------------------
+
+// The IV of a sealed data message: kind byte, varint framing, spi, iv.
+std::uint64_t iv_of(const bytes& datagram) {
+  reader r(const_byte_span(datagram).subspan(1));
+  r.varint();
+  r.u32();
+  return r.u64();
+}
+
+// A sender whose two egress hooks write one log (and pass the datagrams
+// on to the simulator), so the log shows the order datagrams left in.
+struct logged_sender {
+  struct entry {
+    bool gathered;  // through the gather hook (a queued send)
+    peer_id to;
+    bytes wire;
+  };
+  node_id node = 0;
+  std::unique_ptr<pipe_manager> mgr;
+  std::vector<entry> log;
+};
+
+std::unique_ptr<logged_sender> make_logged_sender(simulation& net) {
+  auto s = std::make_unique<logged_sender>();
+  s->node = net.add_node(nullptr);
+  s->mgr = std::make_unique<pipe_manager>(
+      s->node,
+      [&net, raw = s.get()](peer_id peer, bytes datagram) {
+        raw->log.push_back({false, peer, datagram});
+        net.send(raw->node, static_cast<node_id>(peer), std::move(datagram));
+      },
+      [](peer_id, const ilp_header&, bytes) {});
+  s->mgr->set_send_gather([&net, raw = s.get()](peer_id peer, const_byte_span head,
+                                                const_byte_span payload) {
+    bytes wire(head.begin(), head.end());
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    raw->log.push_back({true, peer, wire});
+    net.send(raw->node, static_cast<node_id>(peer), std::move(wire));
+  });
+  net.set_handler(s->node, [raw = s.get()](node_id from, const bytes& data) {
+    raw->mgr->on_datagram(from, data);
+  });
+  return s;
+}
+
+// queue_span to three peers, interleaved with a send() and a handshake:
+// every datagram reaches the hooks in call order, each pipe's IVs rise by
+// one in queue order, and the receivers open every datagram to the sent
+// header and payload. A peer without a pipe gets its packet after the
+// handshake, from an owned copy.
+TEST(PipeManagerQueue, DatagramsLeaveInCallOrder) {
+  simulation net;
+  auto a = make_logged_sender(net);
+  auto b = make_element(net);
+  auto c = make_element(net);
+  auto d = make_element(net);
+  auto e = make_element(net);  // no pipe until the handshake below
+  for (element* p : {b.get(), c.get(), d.get()}) a->mgr->connect(p->node);
+  net.run();
+  a->log.clear();
+
+  // Payloads live until the flush; header objects die at once.
+  std::vector<bytes> payloads;
+  for (int i = 0; i < 9; ++i) payloads.push_back(to_bytes("payload-" + std::to_string(i)));
+  auto queue = [&](element& to, int i) {
+    a->mgr->queue_span(to.node, header_for(static_cast<connection_id>(i)), payloads[i]);
+  };
+
+  queue(*b, 0);
+  queue(*c, 1);
+  EXPECT_TRUE(a->log.empty());  // queued, not sent
+  a->mgr->send(d->node, header_for(2), payloads[2]);  // flushes 0 and 1 first
+  queue(*b, 3);
+  queue(*d, 4);
+  queue(*c, 5);
+  a->mgr->connect(e->node);  // the handshake init flushes 3, 4 and 5 first
+  bytes owned = payloads[6];
+  a->mgr->queue_span(e->node, header_for(6), owned);  // cold path: an owned copy
+  std::fill(owned.begin(), owned.end(), 0);
+  queue(*b, 7);
+  a->mgr->flush();
+  net.run();  // e answers; the owned copy leaves after the handshake
+
+  struct expect {
+    bool gathered;
+    peer_id to;
+    int i;  // payload index; -1 for the handshake init
+  };
+  const std::vector<expect> order = {
+      {true, b->node, 0}, {true, c->node, 1}, {false, d->node, 2}, {true, b->node, 3},
+      {true, d->node, 4}, {true, c->node, 5}, {false, e->node, -1}, {true, b->node, 7},
+      {false, e->node, 6}};
+  ASSERT_EQ(a->log.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(a->log[k].gathered, order[k].gathered) << k;
+    EXPECT_EQ(a->log[k].to, order[k].to) << k;
+    const auto kind = static_cast<msg_kind>(a->log[k].wire[0]);
+    EXPECT_EQ(kind, order[k].i < 0 ? msg_kind::handshake_init : msg_kind::data) << k;
+  }
+  // Each pipe's IVs rise by one in the order its packets were queued.
+  EXPECT_EQ(iv_of(a->log[0].wire), 0u);  // b
+  EXPECT_EQ(iv_of(a->log[3].wire), 1u);
+  EXPECT_EQ(iv_of(a->log[7].wire), 2u);
+  EXPECT_EQ(iv_of(a->log[1].wire), 0u);  // c
+  EXPECT_EQ(iv_of(a->log[5].wire), 1u);
+  EXPECT_EQ(iv_of(a->log[2].wire), 0u);  // d
+  EXPECT_EQ(iv_of(a->log[4].wire), 1u);
+  EXPECT_EQ(iv_of(a->log[8].wire), 0u);  // e's new pipe
+
+  // Every receiver opens its datagrams to the sent header and payload.
+  auto received = [](const element& el) {
+    std::vector<std::pair<connection_id, std::string>> out;
+    for (const auto& [h, p] : el.received) out.emplace_back(h.connection, to_string(p));
+    return out;
+  };
+  using got = std::vector<std::pair<connection_id, std::string>>;
+  EXPECT_EQ(received(*b), (got{{0, "payload-0"}, {3, "payload-3"}, {7, "payload-7"}}));
+  EXPECT_EQ(received(*c), (got{{1, "payload-1"}, {5, "payload-5"}}));
+  EXPECT_EQ(received(*d), (got{{2, "payload-2"}, {4, "payload-4"}}));
+  EXPECT_EQ(received(*e), (got{{6, "payload-6"}}));
+  EXPECT_EQ(a->mgr->stats_for(b->node)->sealed, 3u);
+}
+
+// A send hook that re-enters flush() would hand out a queue the outer
+// flush is still walking: it throws instead.
+TEST(PipeManagerQueue, FlushIsNotReentrant) {
+  simulation net;
+  auto a = make_logged_sender(net);
+  auto b = make_element(net);
+  a->mgr->connect(b->node);
+  net.run();
+  a->mgr->set_send_gather([&](peer_id, const_byte_span, const_byte_span) { a->mgr->flush(); });
+  const bytes payload = to_bytes("x");
+  a->mgr->queue_span(b->node, header_for(1), payload);
+  EXPECT_THROW(a->mgr->flush(), std::logic_error);
+  a->mgr->flush();  // the queue was dropped with the throw: nothing left to hand out
 }
 
 }  // namespace

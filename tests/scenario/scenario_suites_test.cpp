@@ -37,6 +37,9 @@ TEST(ScenarioSuites, FlashCrowdAbsorbsSpikeAtTheEdge) {
   const scenario_report rep = run_flash_crowd(kSeed);
   EXPECT_TRUE(rep.passed()) << verdict_lines(rep);
   EXPECT_EQ(rep.suite, "flash_crowd");
+  // Pinned: a change that alters any datagram's (from, to, size, time)
+  // moves the digest.
+  EXPECT_EQ(rep.behavior_digest, 0x5922ab5cdbb38344u);
   // The spike is absorbed by the caching bundle, not the origin: most
   // requests hit the edge cache and the origin sees a small fraction.
   EXPECT_GE(find_check(rep, "edge_cache_hit_ratio").observed, 0.5);
@@ -48,6 +51,7 @@ TEST(ScenarioSuites, FlashCrowdAbsorbsSpikeAtTheEdge) {
 TEST(ScenarioSuites, PubsubStormDeliversUnderAmplification) {
   const scenario_report rep = run_pubsub_storm(kSeed);
   EXPECT_TRUE(rep.passed()) << verdict_lines(rep);
+  EXPECT_EQ(rep.behavior_digest, 0xf624f01ff17c509bu);
   EXPECT_GE(find_check(rep, "delivery_ratio").observed, 0.98);
   // Six subscribers across three edomains: each publish amplifies well
   // beyond one wire packet.
@@ -57,6 +61,7 @@ TEST(ScenarioSuites, PubsubStormDeliversUnderAmplification) {
 TEST(ScenarioSuites, DdosMixDegradesThenRecovers) {
   const scenario_report rep = run_ddos_mix(kSeed);
   EXPECT_TRUE(rep.passed()) << verdict_lines(rep);
+  EXPECT_EQ(rep.behavior_digest, 0xf466bd37e19dad66u);
   // Phase A: the flood demonstrably breaches the latency SLO, the
   // burn-rate monitor pages, and the page freezes the flight recorder.
   EXPECT_GT(find_check(rep, "attack_degrades_legit_p99").observed, 10.0);
@@ -73,6 +78,7 @@ TEST(ScenarioSuites, DdosMixDegradesThenRecovers) {
 TEST(ScenarioSuites, MobilityChurnSurvivesFaultsMidMigration) {
   const scenario_report rep = run_mobility_churn(kSeed);
   EXPECT_TRUE(rep.passed()) << verdict_lines(rep);
+  EXPECT_EQ(rep.behavior_digest, 0x574e860747296a24u);
   EXPECT_GE(find_check(rep, "delivered_ratio").observed, 0.90);
   EXPECT_LE(find_check(rep, "max_outage_ms").observed, 14.0);
   // The churn exercised the re-anchoring datapath: breadcrumbs chased

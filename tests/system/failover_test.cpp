@@ -110,7 +110,7 @@ TEST(Failover, StandbyRestoresCheckpointAndResumesTraffic) {
     ++checkpoints_taken;
   });
 
-  alice->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
+  alice->mgr->enable_liveness(net.sim_clock());
   schedule_host_liveness(net, *alice, 10ms, 600ms);
 
   // Phase 1: warm traffic through the primary — forwarded deliveries to
@@ -311,7 +311,7 @@ TEST(Failover, ScriptedFaultScheduleReplaysDeterministically) {
                           .reorder_rate = 0.02});
     net.schedule_faults(simulation::parse_fault_schedule(script));
 
-    client->mgr->enable_liveness(net.sim_clock(), {.keepalive_interval = 10ms});
+    client->mgr->enable_liveness(net.sim_clock());
     for (auto t = 10ms; t <= 400ms; t += 10ms) {
       net.at(time_point(t), [mgr = client->mgr.get()] { mgr->liveness_tick(); });
     }

@@ -62,14 +62,34 @@ run_preset() {
   echo "== $preset: scenario suites (focused) =="
   ctest --preset "$preset" -R scenario_test --output-on-failure
   # Crypto datapath: every AEAD call builds its keystream in stack
-  # buffers (the padded remainder quad, the 4-block head) and opens may
-  # decrypt in place over the ciphertext. asan guards those buffers and
-  # the aliasing, ubsan the lane arithmetic; ilp_test and fuzz_test push
-  # sealed and hostile datagrams through the same calls. The ILP header
-  # keeps its metadata inline with a heap spill, and alloc_test drives
-  # the inline and sharded SN through it with the allocation budget on.
+  # buffers (the padded remainder quad, the 4-block head), each block's
+  # key rows loaded through its own key pointer (a batch seal mixes the
+  # keys of many pipes in one SIMD pass), the Poly1305 tag runs over a
+  # stack image of its input, and opens may decrypt in place over the
+  # ciphertext. asan guards those buffers, the key pointers and the
+  # aliasing, ubsan the lane and 128-bit limb arithmetic; ilp_test and
+  # fuzz_test push sealed and hostile datagrams through the same calls.
+  # The ILP header keeps its metadata inline with a heap spill, and
+  # alloc_test drives the inline and sharded SN through it with the
+  # allocation budget on.
   echo "== $preset: crypto + ILP + allocation budget (focused) =="
   ctest --preset "$preset" -R 'crypto_test|ilp_test|fuzz_test|alloc_test' --output-on-failure
+  # The egress queue holds payload views (ingress slabs, pending slots,
+  # a completion's sends, drained egress outbounds) from queue_span to
+  # the burst end that flushes them; these tests drive every burst end
+  # and the flush-first order: 5 free, 5 with every thread on one CPU.
+  echo "== $preset: egress queue and burst ends x5 alone, x5 on one CPU =="
+  for i in $(seq 5); do
+    for pin in "" "taskset -c 0"; do
+      $pin "build-$preset/tests/core_test" \
+        --gtest_filter='terminus_fixture.*:shed_fixture.*:TerminusTokens.*:ShedBoundedSubmit.*' \
+        --gtest_brief=1
+      $pin "build-$preset/tests/ilp_test" --gtest_filter='PipeManager*' --gtest_brief=1
+      $pin "build-$preset/tests/services_test" --gtest_filter='PubSub*:Multicast*:Anycast*' \
+        --gtest_brief=1
+      $pin "build-$preset/tests/alloc_test" --gtest_brief=1
+    done
+  done
   # DdosShed races worker shards against the slow-path budget: its checks
   # must hold however the threads interleave, so it runs 20 times free
   # and 20 times with every thread on one CPU.
